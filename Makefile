@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build test test-short vet lint bench benchcmp paperbench examples clean \
-	fmt fmt-check race bench-smoke fuzz-smoke soak-smoke soak-edits soak psad-smoke vulncheck ci
+	fmt fmt-check race bench-smoke fuzz-smoke soak-smoke soak-edits soak psad-smoke perfbench-check vulncheck ci
 
 all: build vet test
 
@@ -120,6 +120,13 @@ soak:
 psad-smoke:
 	$(GO) test -race -count=1 ./cmd/psad ./internal/service
 
+# The benchmark harness (perfbench/) is its own Go module, so the root
+# `go test ./...` skips it; vet and test it here, offline, so an API
+# change that breaks the benchmark fails CI instead of the benchmark run.
+PERFBENCH_ENV = GOPROXY=off GOFLAGS= GOWORK=off
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test ./...
+
 # Known-vulnerability scan over the module and its (stdlib-only)
 # dependency graph. govulncheck is optional locally, like staticcheck:
 # the target degrades with a notice so `make ci` works offline; the CI
@@ -133,4 +140,4 @@ vulncheck:
 	fi
 
 # Everything .github/workflows/ci.yml runs, locally.
-ci: fmt-check build lint vulncheck test race bench-smoke fuzz-smoke soak-smoke soak-edits psad-smoke
+ci: fmt-check build lint vulncheck test perfbench-check race bench-smoke fuzz-smoke soak-smoke soak-edits psad-smoke

@@ -315,15 +315,16 @@ func BenchmarkAbstractParallel(b *testing.B) {
 // other abstract benchmarks use. For each workload:
 //
 //   - scratch:  cold pipeline.Analyze of the edited program — the cost a
-//     service without summaries pays per submission;
+//     service without an incremental session pays per submission;
 //   - rename:   a parameter/local rename (α-neutral single-procedure
 //     edit) resubmitted to a persistent incremental session — the
 //     whole-program fast path replays the previous result from its
 //     canonical hash without re-running the fixpoint;
 //   - editwarm: base and a one-procedure body edit alternated through a
-//     persistent session — every iteration is a REAL edit, re-running
-//     the fixpoint warm against the summary store the previous version
-//     populated.
+//     persistent session — every iteration is a REAL edit, so it costs
+//     one program hash plus a plain scratch fixpoint. The name predates
+//     the removal of the summary warm start; it is kept so benchstat
+//     baselines still line up.
 //
 // All program versions are parsed once up front, so the timed loops
 // compare pure (re-)analysis cost, not parsing. Results are
@@ -381,7 +382,7 @@ func BenchmarkIncrementalReanalysis(b *testing.B) {
 		if tc.renamed == tc.base || tc.edited == tc.base {
 			b.Fatalf("%s: edit variants did not apply", tc.name)
 		}
-		// Contract check: one warm pass over the chain matches scratch.
+		// Contract check: one pass over the chain matches scratch.
 		inc := pipeline.NewIncremental(pipeline.RunOptions{}, adjust)
 		for _, src := range []string{tc.base, tc.renamed, tc.edited} {
 			want := pipeline.Analyze(lang.MustParse(src), pipeline.RunOptions{}, adjust).Digest()

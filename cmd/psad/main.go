@@ -30,10 +30,12 @@
 //
 // Incremental re-analysis: an abstract response carries a program_hash;
 // submitting an edited program with {"base": "<that hash>"} routes the
-// run through a per-options incremental session that reuses procedure
-// summaries for unchanged code (summary_hit / summary_miss /
-// summary_invalidated in /metrics). Responses stay bit-identical to
-// cold runs — base is purely an optimization hint.
+// run through a per-options incremental session. An α-equivalent
+// resubmission of the session's last version (rename, label edit,
+// reformatting) replays its result without re-running the fixpoint
+// (analysis_cache_hit in /metrics); any other program runs the plain
+// fixpoint (analysis_cache_miss). Responses stay bit-identical to cold
+// runs — base is purely an optimization hint.
 //
 // Shutdown: on SIGINT/SIGTERM the daemon stops accepting connections
 // and drains in-flight requests for -drain; runs still going after the

@@ -37,19 +37,15 @@
 // Cancelled — the same cut shape as MaxConfigs/MaxStates truncation,
 // except never cached, since the cut point is timing-dependent.
 //
-// The abstract pipeline is also incremental: pipeline.NewIncremental
-// opens a long-lived session whose AnalyzeEdit re-analyzes each
-// submitted program version reusing everything the edit left intact —
-// an α-equivalent resubmission (rename, label edit, reformatting)
-// replays the previous result from its canonical whole-program hash
-// without re-running the fixpoint, and a real edit re-runs warm
-// against a per-procedure summary store keyed on position-independent
-// body hashes (internal/lang, abssem.SummaryStore), invalidating only
-// the edited procedures and their transitive callers. Results and
-// deterministic counters are bit-identical to a from-scratch run at
-// any worker count under either scheduler; cmd/psad exposes the
-// session via the optional "base" program-hash hint on /analyze
-// (DESIGN.md §13).
+// The abstract pipeline also offers incremental sessions:
+// pipeline.NewIncremental opens a long-lived session whose AnalyzeEdit
+// takes each submitted program version in turn. An α-equivalent
+// resubmission (rename, label edit, reformatting) replays the previous
+// result from its canonical whole-program hash (internal/lang) without
+// re-running the fixpoint; a real edit runs the plain fixpoint. Results
+// and deterministic counters are bit-identical to a from-scratch run at
+// any worker count under either scheduler; cmd/psad exposes the session
+// via the optional "base" program-hash hint on /analyze (DESIGN.md §13).
 //
 // The engines are instrumented through internal/metrics, a nil-safe
 // registry of atomic counters, per-level statistics, and phase timings

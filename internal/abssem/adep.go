@@ -169,7 +169,6 @@ func analyzeDep(ctx context.Context, prog *lang.Program, opts Options) *Result {
 		res.Cancelled = true
 	}
 	res.collect(states, m)
-	sc.sum.publish()
 	return res
 }
 

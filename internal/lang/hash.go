@@ -3,16 +3,14 @@ package lang
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
 	"strconv"
 )
 
-// This file defines the canonical, position-independent procedure hashes
-// the summary-based incremental analysis layer (internal/abssem,
-// internal/pipeline) keys on, plus the NodeTable that names AST nodes by
-// (procedure index, traversal ordinal) instead of by NodeID — the two
-// ingredients that let analysis artifacts survive a re-parse of an edited
-// program.
+// This file defines the canonical, position-independent program hashes
+// the incremental session (internal/pipeline) and the analysis service
+// (internal/service) key on: two submissions with equal hashes are the
+// same analysis input, so a previous result can be replayed for the
+// second one.
 //
 // Two hash modes exist per procedure:
 //
@@ -29,24 +27,14 @@ import (
 // Statement labels are excluded from BOTH modes: no engine result depends
 // on them (they only name statements for queries), so a label edit is a
 // no-op edit.
-//
-// The transitive hash folds the callee hashes of every procedure referred
-// to BY NAME (calls and first-class uses alike) into the referrer,
-// iterated |funcs| times so a change anywhere in the static call graph —
-// including through recursion cycles — reaches every transitive caller.
 
 // ProgramHashes carries every canonical digest of one resolved program.
 // Slices are indexed by FuncDecl.Index.
 type ProgramHashes struct {
-	// Alpha and Named are the per-procedure local body hashes in the two
-	// modes (see the file comment).
+	// Alpha and Named are the per-procedure body hashes in the two modes
+	// (see the file comment).
 	Alpha []string
 	Named []string
-	// AlphaTrans and NamedTrans fold each procedure's transitive callees
-	// (by name) into its local hash: a procedure's transitive hash changes
-	// iff its own body or any body reachable from it by name changed.
-	AlphaTrans []string
-	NamedTrans []string
 	// GlobalsDigest covers the global declarations: names, initializers,
 	// and order (global indices embed in analysis artifacts, so order
 	// matters).
@@ -70,23 +58,6 @@ func (h *ProgramHashes) ProgramHash(named bool) string {
 	return h.progAlpha
 }
 
-// Local returns procedure i's local body hash in the requested mode.
-func (h *ProgramHashes) Local(i int, named bool) string {
-	if named {
-		return h.Named[i]
-	}
-	return h.Alpha[i]
-}
-
-// Transitive returns procedure i's callee-folded hash in the requested
-// mode.
-func (h *ProgramHashes) Transitive(i int, named bool) string {
-	if named {
-		return h.NamedTrans[i]
-	}
-	return h.AlphaTrans[i]
-}
-
 // HashProgram computes every canonical digest of a resolved program.
 func HashProgram(p *Program) *ProgramHashes {
 	n := len(p.Funcs)
@@ -94,13 +65,11 @@ func HashProgram(p *Program) *ProgramHashes {
 		Alpha: make([]string, n),
 		Named: make([]string, n),
 	}
-	callees := make([][]string, n)
-	hw := &hashWriter{callees: map[string]bool{}}
+	hw := &hashWriter{}
 	for i, f := range p.Funcs {
 		hw.reset()
 		hw.fn(f)
 		h.Alpha[i], h.Named[i] = hw.sums()
-		callees[i] = hw.calleeNames()
 	}
 
 	var buf []byte
@@ -120,9 +89,6 @@ func HashProgram(p *Program) *ProgramHashes {
 	}
 	h.FuncNamesDigest = digest(buf)
 
-	h.AlphaTrans = transitive(p, h.Alpha, callees)
-	h.NamedTrans = transitive(p, h.Named, callees)
-
 	ph := func(local []string) string {
 		buf = append(buf[:0], "prog|"...)
 		buf = append(buf, h.GlobalsDigest...)
@@ -141,53 +107,6 @@ func HashProgram(p *Program) *ProgramHashes {
 	return h
 }
 
-// transitive iterates the callee fold |funcs| times: after k rounds a
-// procedure's hash covers every body reachable within k name-edges, and a
-// change can only propagate one edge per round, so |funcs| rounds reach a
-// fixed label for every edit — including through recursion cycles, where
-// the labels keep evolving but deterministically, identically for
-// identical programs. A round that changes no label is a fixed point
-// (every later round would reproduce it verbatim), so the loop exits
-// early then — on acyclic call graphs that is after call-depth rounds,
-// not |funcs|.
-func transitive(p *Program, local []string, callees [][]string) []string {
-	type edge struct {
-		name string
-		j    int
-	}
-	resolved := make([][]edge, len(callees))
-	for i, names := range callees {
-		for _, name := range names {
-			if j, ok := p.funcIndex[name]; ok {
-				resolved[i] = append(resolved[i], edge{name, j})
-			}
-		}
-	}
-	cur := append([]string(nil), local...)
-	next := make([]string, len(local))
-	var buf []byte
-	for round := 0; round < len(p.Funcs); round++ {
-		changed := false
-		for i := range p.Funcs {
-			buf = append(buf[:0], "t|"...)
-			buf = append(buf, local[i]...)
-			for _, e := range resolved[i] {
-				buf = append(buf, '|')
-				buf = append(buf, e.name...)
-				buf = append(buf, '=')
-				buf = append(buf, cur[e.j]...)
-			}
-			next[i] = digest(buf)
-			changed = changed || next[i] != cur[i]
-		}
-		cur, next = next, cur
-		if !changed {
-			break
-		}
-	}
-	return cur
-}
-
 func digest(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:16])
@@ -199,30 +118,17 @@ func digest(b []byte) string {
 // sums keeps the hot path (HashProgram runs on every incremental
 // submission) free of per-token hash.Write calls and conversions.
 type hashWriter struct {
-	alpha   []byte
-	named   []byte
-	callees map[string]bool
+	alpha []byte
+	named []byte
 }
 
 func (w *hashWriter) reset() {
 	w.alpha = w.alpha[:0]
 	w.named = w.named[:0]
-	for name := range w.callees {
-		delete(w.callees, name)
-	}
 }
 
 func (w *hashWriter) sums() (alpha, named string) {
 	return digest(w.alpha), digest(w.named)
-}
-
-func (w *hashWriter) calleeNames() []string {
-	out := make([]string, 0, len(w.callees))
-	for name := range w.callees {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (w *hashWriter) emit(s string) {
@@ -326,7 +232,6 @@ func (w *hashWriter) expr(e Expr) {
 			w.emit("g:" + e.Name)
 		case RefFunc:
 			w.emit("f:" + e.Name)
-			w.callees[e.Name] = true
 		default:
 			w.emit("?ref")
 		}
@@ -360,103 +265,5 @@ func (w *hashWriter) expr(e Expr) {
 		w.emit(")")
 	default:
 		w.emit("?expr")
-	}
-}
-
-// NodeOrd names an AST node position-independently: the index of the
-// procedure that contains it and the node's ordinal in the canonical
-// traversal of that procedure's subtree. Two programs whose procedure i
-// hashes equal assign the same ordinals to corresponding nodes, so a
-// NodeOrd computed against one program resolves against the other.
-type NodeOrd struct {
-	Fn  int
-	Ord int
-}
-
-// NodeTable maps between NodeIDs (parse-order identities, which shift
-// whenever an earlier procedure changes size) and NodeOrds (stable under
-// any edit outside the owning procedure). Build one per program with
-// BuildNodeTable.
-type NodeTable struct {
-	ords  map[NodeID]NodeOrd
-	nodes [][]Node // [func index][ordinal]
-}
-
-// BuildNodeTable enumerates every node under every procedure of a
-// program in the canonical traversal order.
-func BuildNodeTable(p *Program) *NodeTable {
-	t := &NodeTable{
-		ords:  make(map[NodeID]NodeOrd),
-		nodes: make([][]Node, len(p.Funcs)),
-	}
-	for i, f := range p.Funcs {
-		var list []Node
-		walkFuncNodes(f, func(n Node) {
-			t.ords[n.NodeID()] = NodeOrd{Fn: i, Ord: len(list)}
-			list = append(list, n)
-		})
-		t.nodes[i] = list
-	}
-	return t
-}
-
-// Ord returns the position-independent name of the node with the given
-// ID (ok == false for IDs outside every procedure body, e.g. globals).
-func (t *NodeTable) Ord(id NodeID) (NodeOrd, bool) {
-	o, ok := t.ords[id]
-	return o, ok
-}
-
-// Node resolves a position-independent name against this table's program
-// (nil when out of range).
-func (t *NodeTable) Node(o NodeOrd) Node {
-	if o.Fn < 0 || o.Fn >= len(t.nodes) || o.Ord < 0 || o.Ord >= len(t.nodes[o.Fn]) {
-		return nil
-	}
-	return t.nodes[o.Fn][o.Ord]
-}
-
-// FuncNodeCount returns the number of nodes under procedure i — equal
-// counts are a cheap structural sanity check before remapping artifacts
-// between two programs whose procedure hashes match.
-func (t *NodeTable) FuncNodeCount(i int) int {
-	if i < 0 || i >= len(t.nodes) {
-		return 0
-	}
-	return len(t.nodes[i])
-}
-
-// walkFuncNodes visits every node of a procedure subtree in canonical
-// order: the declaration, then each block (block node first, then its
-// statements; per statement the expressions in evaluation-source order,
-// then nested blocks).
-func walkFuncNodes(f *FuncDecl, visit func(Node)) {
-	visit(f)
-	walkBlockNodes(f.Body, visit)
-}
-
-func walkBlockNodes(b *Block, visit func(Node)) {
-	if b == nil {
-		return
-	}
-	visit(b)
-	for _, s := range b.Stmts {
-		walkStmtNodes(s, visit)
-	}
-}
-
-func walkStmtNodes(s Stmt, visit func(Node)) {
-	visit(s)
-	WalkExprs(s, func(e Expr) { visit(e) })
-	switch s := s.(type) {
-	case *CobeginStmt:
-		for _, arm := range s.Arms {
-			walkBlockNodes(arm, visit)
-		}
-	case *IfStmt:
-		walkBlockNodes(s.Then, visit)
-		walkBlockNodes(s.Else, visit)
-	case *WhileStmt:
-		walkBlockNodes(s.Body, visit)
 	}
 }

@@ -1,7 +1,8 @@
 package lang
 
 import (
-	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -35,16 +36,13 @@ func hashOf(t *testing.T, src string) (*Program, *ProgramHashes) {
 	return p, HashProgram(p)
 }
 
-func funcHash(t *testing.T, p *Program, h *ProgramHashes, name string, trans, named bool) string {
+func funcHash(t *testing.T, p *Program, h *ProgramHashes, name string) string {
 	t.Helper()
 	f := p.Func(name)
 	if f == nil {
 		t.Fatalf("no func %q", name)
 	}
-	if trans {
-		return h.Transitive(f.Index, named)
-	}
-	return h.Local(f.Index, named)
+	return h.Named[f.Index]
 }
 
 func TestHashRenameLocalAlphaInvariant(t *testing.T) {
@@ -86,69 +84,6 @@ func TestHashLabelExcluded(t *testing.T) {
 	}
 }
 
-func TestHashTransitivePropagation(t *testing.T) {
-	pa, ha := hashOf(t, hashBase)
-	edited := `
-var g = 0;
-
-func leaf(x) {
-  g = x + 2;
-}
-
-func caller() {
-  leaf(2);
-}
-
-func other() {
-  g = 7;
-}
-
-func main() {
-  caller();
-  other();
-}
-`
-	pb, hb := hashOf(t, edited)
-
-	// leaf changed locally; caller and main only transitively; other not
-	// at all.
-	if funcHash(t, pa, ha, "leaf", false, false) == funcHash(t, pb, hb, "leaf", false, false) {
-		t.Errorf("leaf local hash should change")
-	}
-	if funcHash(t, pa, ha, "caller", false, false) != funcHash(t, pb, hb, "caller", false, false) {
-		t.Errorf("caller local hash should not change")
-	}
-	if funcHash(t, pa, ha, "caller", true, false) == funcHash(t, pb, hb, "caller", true, false) {
-		t.Errorf("caller transitive hash should change (callee edited)")
-	}
-	if funcHash(t, pa, ha, "main", true, false) == funcHash(t, pb, hb, "main", true, false) {
-		t.Errorf("main transitive hash should change (transitive callee edited)")
-	}
-	if funcHash(t, pa, ha, "other", true, false) != funcHash(t, pb, hb, "other", true, false) {
-		t.Errorf("other transitive hash should not change")
-	}
-}
-
-func TestHashTransitiveRecursion(t *testing.T) {
-	// Mutually recursive procedures still get deterministic transitive
-	// hashes, and an edit inside the cycle changes both.
-	src := func(k string) string {
-		return `var g = 0;
-func even(n) { if n > 0 { odd(n - 1); } }
-func odd(n) { if n > 0 { even(n - 1); } g = g + ` + k + `; }
-func main() { even(4); }`
-	}
-	pa, ha := hashOf(t, src("1"))
-	pb, hb := hashOf(t, src("1"))
-	pc, hc := hashOf(t, src("2"))
-	if funcHash(t, pa, ha, "even", true, false) != funcHash(t, pb, hb, "even", true, false) {
-		t.Errorf("transitive hashes must be deterministic under recursion")
-	}
-	if funcHash(t, pa, ha, "even", true, false) == funcHash(t, pc, hc, "even", true, false) {
-		t.Errorf("edit inside recursion cycle must reach every member")
-	}
-}
-
 func TestHashPositionIndependence(t *testing.T) {
 	// Editing an earlier procedure renumbers every later NodeID, but the
 	// later procedures' hashes must not move.
@@ -177,12 +112,12 @@ func main() {
 `
 	pb, hb := hashOf(t, edited)
 	for _, name := range []string{"caller", "other", "main"} {
-		if funcHash(t, pa, ha, name, false, true) != funcHash(t, pb, hb, name, false, true) {
-			t.Errorf("%s local hash moved under an edit to an earlier proc", name)
+		if funcHash(t, pa, ha, name) != funcHash(t, pb, hb, name) {
+			t.Errorf("%s hash moved under an edit to an earlier proc", name)
 		}
 	}
-	if funcHash(t, pa, ha, "other", true, true) != funcHash(t, pb, hb, "other", true, true) {
-		t.Errorf("other transitive hash moved; it never calls leaf")
+	if funcHash(t, pa, ha, "leaf") == funcHash(t, pb, hb, "leaf") {
+		t.Errorf("leaf hash should change")
 	}
 }
 
@@ -202,45 +137,27 @@ func TestHashGlobalsAndFuncList(t *testing.T) {
 	}
 }
 
-func TestNodeTableRoundTrip(t *testing.T) {
-	p := MustParse(hashBase)
-	tab := BuildNodeTable(p)
-	seen := 0
-	for _, f := range p.Funcs {
-		walkFuncNodes(f, func(n Node) {
-			seen++
-			o, ok := tab.Ord(n.NodeID())
-			if !ok {
-				t.Fatalf("node %d missing from table", n.NodeID())
-			}
-			if got := tab.Node(o); got != n {
-				t.Fatalf("ord %v resolves to a different node", o)
-			}
-		})
-	}
-	if seen == 0 {
-		t.Fatal("walked no nodes")
-	}
-	if got, ok := tab.Ord(NodeID(1 << 30)); ok {
-		t.Fatalf("bogus id resolved to %v", got)
-	}
-}
-
-func TestNodeTableCorrespondence(t *testing.T) {
-	// α-equal procedures assign identical ordinals to corresponding
-	// nodes even when absolute NodeIDs differ between the two programs.
-	pa := MustParse(`func main() { var a = 1; while a > 0 { a = a - 1; } }`)
-	pb := MustParse(`var extra = 9; func main() { var z = 1; while z > 0 { z = z - 1; } }`)
-	ta, tb := BuildNodeTable(pa), BuildNodeTable(pb)
-	if ta.FuncNodeCount(0) != tb.FuncNodeCount(0) {
-		t.Fatalf("α-equal bodies disagree on node count: %d vs %d",
-			ta.FuncNodeCount(0), tb.FuncNodeCount(0))
-	}
-	for ord := 0; ord < ta.FuncNodeCount(0); ord++ {
-		na := ta.Node(NodeOrd{Fn: 0, Ord: ord})
-		nb := tb.Node(NodeOrd{Fn: 0, Ord: ord})
-		if ka, kb := fmt.Sprintf("%T", na), fmt.Sprintf("%T", nb); ka != kb {
-			t.Fatalf("ord %d: kind mismatch %s vs %s", ord, ka, kb)
+// TestProgramHashGolden pins the whole-program digests of sample
+// programs in both modes. Clients hold on to these values (the service
+// returns them as program_hash and accepts them back as base), so any
+// change to the canonical rendering is a compatibility break, not a
+// refactoring.
+func TestProgramHashGolden(t *testing.T) {
+	for _, tc := range []struct{ file, alpha, named string }{
+		{"bank", "c857537db629e32364950fe52aeece93", "85c8399bb2ed458110847685db282477"},
+		{"higherorder", "f5e31c2a0e064008a70a4b2f8f76aba4", "f4169b73c23e3c854edb6c2a4ef7c341"},
+		{"mapreduce", "3c413abe6a985260da882c0ebcbbbfca", "00add873b33b37136a52626fa6d82846"},
+	} {
+		src, err := os.ReadFile(filepath.Join("..", "..", "testdata", tc.file+".cb"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, h := hashOf(t, string(src))
+		if got := h.ProgramHash(false); got != tc.alpha {
+			t.Errorf("%s: alpha program hash = %s, want %s", tc.file, got, tc.alpha)
+		}
+		if got := h.ProgramHash(true); got != tc.named {
+			t.Errorf("%s: named program hash = %s, want %s", tc.file, got, tc.named)
 		}
 	}
 }

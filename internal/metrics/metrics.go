@@ -101,12 +101,10 @@ const (
 	// on scheduling and are perf-only.
 	DepMergeWaits
 	AbsDepMergeWaits
-	// SummaryHit / SummaryMiss count procedure-summary cache lookups
-	// during abstract runs wired to an abssem.SummaryStore;
-	// SummaryInvalidated counts cached summaries dropped when the store
-	// rebased onto an edited program. All three are perf-only: hit rates
-	// depend on cache warmth and edit history, never on the result (the
-	// summary layer's bit-identity contract).
+	// SummaryHit / SummaryMiss / SummaryInvalidated belonged to the
+	// procedure-summary cache the abstract engine no longer has. No code
+	// emits them any more, so they always read 0; they stay defined
+	// (perf-only) because benchmark reports still read them.
 	SummaryHit
 	SummaryMiss
 	SummaryInvalidated

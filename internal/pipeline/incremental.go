@@ -10,29 +10,20 @@ import (
 )
 
 // Incremental is a long-lived abstract-analysis session over a stream of
-// program versions: the summary-based counterpart of the one-shot
-// Analyze. The session owns an abssem.SummaryStore that survives across
-// calls, so re-analyzing an edited program pays only for the procedures
-// whose canonical body hashes changed (and their transitive callers —
-// the store's rebase drops exactly the summaries whose referenced
-// transitive hashes moved, see abssem/summary.go); everything else is
-// served from cache.
-//
-// Two levels of reuse compose:
+// program versions. It remembers the last completed version and its
+// result; when a submitted program is the same analysis input as that
+// version, the fixpoint is skipped.
 //
 //   - Whole-program fast path: when the mode-appropriate program hash
 //     (lang.HashProgram; the named variant under clan folding, the
 //     α-renamed one otherwise) of the submitted program equals the
-//     previous version's, the fixpoint is skipped entirely —
-//     abssem.ReuseResult rebinds the previous result onto the new
-//     program, and the deterministic counter deltas captured during the
-//     run that produced it are replayed into the caller's registry, so
-//     even the metrics a client compares are bit-identical to a scratch
-//     run's.
-//   - Summary warm start: on a real edit, the fixpoint re-runs but its
-//     per-visit expansions hit the rebased summary store for every
-//     configuration whose key (which folds in the transitive hashes of
-//     all referenced procedures) survived the edit.
+//     previous version's, abssem.ReuseResult rebinds the previous result
+//     onto the new program, and the deterministic counter deltas
+//     captured during the run that produced it are replayed into the
+//     caller's registry, so even the metrics a client compares are
+//     bit-identical to a scratch run's.
+//   - Any other program runs the plain abssem.AnalyzeContext fixpoint
+//     and becomes the session's new baseline.
 //
 // Bit-identity contract: for every program version, AnalyzeEdit's result
 // — Result fields, invariants, footprints, and the deterministic counter
@@ -42,16 +33,12 @@ import (
 // psasoak oracle 5's random edit sequences.
 //
 // The session serializes its calls internally; concurrent AnalyzeEdit
-// calls are safe but run one at a time (the summary store itself is
-// concurrently readable — it is the session's prev-result bookkeeping
-// that is serialized).
+// calls are safe but run one at a time.
 type Incremental struct {
 	mu     sync.Mutex
 	ro     RunOptions
 	adjust func(*abssem.Options)
-	sum    *abssem.SummaryStore
 
-	prog   *lang.Program
 	hash   string
 	named  bool
 	res    *abssem.Result
@@ -60,37 +47,18 @@ type Incremental struct {
 
 // NewIncremental opens an incremental session under the shared options.
 // Engine-specific knobs (domain, k-limits, clan folding) can be set via
-// adjust exactly as with Analyze; nil keeps the defaults. The session
-// creates its own summary store (default bound); use
-// NewIncrementalWithStore to share or size one explicitly.
+// adjust exactly as with Analyze; nil keeps the defaults.
 func NewIncremental(ro RunOptions, adjust func(*abssem.Options)) *Incremental {
-	return NewIncrementalWithStore(ro, adjust, abssem.NewSummaryStore(0))
+	return &Incremental{ro: ro, adjust: adjust}
 }
-
-// NewIncrementalWithStore opens an incremental session over an existing
-// summary store — the constructor for callers that bound the store
-// themselves or hand one store to several sessions (the store's epoch
-// check keeps runs under different result-relevant options from ever
-// sharing entries). A nil store makes the session equivalent to
-// NewIncremental.
-func NewIncrementalWithStore(ro RunOptions, adjust func(*abssem.Options), store *abssem.SummaryStore) *Incremental {
-	if store == nil {
-		store = abssem.NewSummaryStore(0)
-	}
-	return &Incremental{ro: ro, adjust: adjust, sum: store}
-}
-
-// SummaryStore returns the session's summary store, e.g. to hand to a
-// successor session after an options change.
-func (inc *Incremental) SummaryStore() *abssem.SummaryStore { return inc.sum }
 
 // Configure replaces the session's run options and returns the session
 // for chaining. Intended for execution-only reconfiguration (workers,
 // pool, scheduler, metrics), which never disturbs the fast path — the
 // deterministic counters the session replays are identical at any worker
 // count by the engines' contract. A result-relevant change (one that
-// alters AbstractKey) should open a new session instead, optionally over
-// the same store (core.Analyzer does exactly that).
+// alters AbstractKey) should open a new session instead (core.Analyzer
+// does exactly that).
 func (inc *Incremental) Configure(ro RunOptions) *Incremental {
 	inc.mu.Lock()
 	inc.ro = ro
@@ -98,18 +66,18 @@ func (inc *Incremental) Configure(ro RunOptions) *Incremental {
 	return inc
 }
 
-// AnalyzeEdit analyzes prog, reusing everything the session's history
-// allows: the whole previous result when the program is α-equivalent to
-// the last version, the surviving procedure summaries otherwise. The
-// first call on a fresh session is a plain (cold) analysis.
+// AnalyzeEdit analyzes prog, reusing the whole previous result when the
+// program is α-equivalent to the last version and running the plain
+// fixpoint otherwise. The first call on a fresh session is a plain
+// (cold) analysis.
 func (inc *Incremental) AnalyzeEdit(prog *lang.Program) *abssem.Result {
 	return inc.AnalyzeEditContext(context.Background(), prog)
 }
 
 // AnalyzeEditContext is AnalyzeEdit under a context. A cancelled run
 // returns its partial result but never becomes the session's new
-// baseline — the next call re-analyzes from the previous complete
-// version's summaries.
+// baseline — the next call still compares against the previous
+// complete version.
 func (inc *Incremental) AnalyzeEditContext(ctx context.Context, prog *lang.Program) *abssem.Result {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -118,7 +86,6 @@ func (inc *Incremental) AnalyzeEditContext(ctx context.Context, prog *lang.Progr
 	if inc.adjust != nil {
 		inc.adjust(&ao)
 	}
-	ao.Summaries = inc.sum
 	// Clan folding groups cobegin arms by rendered body text, which sees
 	// local NAMES — so only the named hash certifies "same analysis
 	// input" under it. Everywhere else α-equivalence suffices.
@@ -141,7 +108,7 @@ func (inc *Incremental) AnalyzeEditContext(ctx context.Context, prog *lang.Progr
 			})
 		}
 		res := abssem.ReuseResult(inc.res, prog)
-		inc.prog, inc.res = prog, res
+		inc.res = res
 		return res
 	}
 
@@ -172,6 +139,6 @@ func (inc *Incremental) AnalyzeEditContext(ctx context.Context, prog *lang.Progr
 	metrics.EachCounter(func(c metrics.Counter) {
 		deltas[c] = m.Get(c) - before[c]
 	})
-	inc.prog, inc.hash, inc.named, inc.res, inc.deltas = prog, h, named, res, deltas
+	inc.hash, inc.named, inc.res, inc.deltas = h, named, res, deltas
 	return res
 }

@@ -38,8 +38,9 @@
 // breaking cache-key change, not a test to update casually.
 //
 // For incremental re-analysis of edited program versions, Incremental
-// (see incremental.go) wraps the abstract engine's summary store with a
-// whole-program fast path; core.Analyzer.AnalyzeEdit builds on it.
+// (see incremental.go) replays the previous result when a resubmission
+// is α-equivalent and runs the plain fixpoint otherwise;
+// core.Analyzer.AnalyzeEdit builds on it.
 package pipeline
 
 import (

@@ -9,18 +9,17 @@ import (
 
 // Mutate applies one seed-reproducible, single-procedure edit to a
 // cobegin program and returns the edited source plus a short description
-// of the edit. The catalogue mirrors the edit classes the incremental
-// analysis layer distinguishes (testdata/edits has a hand-written chain
-// per class):
+// of the edit. The catalogue covers one edit of each kind the
+// incremental analysis layer must stay bit-identical under
+// (testdata/edits has a hand-written chain per class):
 //
 //   - rename a parameter (α-neutral: a no-op edit for the analysis
 //     unless clan folding is on),
-//   - tweak an integer literal assigned to a global (a value edit that
-//     invalidates exactly the enclosing procedure's dependents),
+//   - tweak an integer literal assigned to a global (a value edit),
 //   - insert a skip or an always-true assert (a structural edit),
 //   - append a skip to a cobegin arm (a concurrency-structure edit),
 //   - add an uncalled procedure / delete an uncalled non-main procedure
-//     (function-list edits, which shift the summary epoch).
+//     (function-list edits, which change the procedure list).
 //
 // The same (src, seed) pair always yields the same edit, and the result
 // always re-parses: Mutate is the edit generator behind psasoak's

@@ -27,14 +27,14 @@
 //     MaxConfigs/MaxStates truncation). Because the cut point is
 //     timing-dependent, cancelled results never enter the cache.
 //
-//   - Edits reuse summaries. An abstract request carrying a `base`
+//   - Resubmissions replay. An abstract request carrying a `base`
 //     program hash (the ProgramHash of a previously analyzed version)
 //     runs through a per-options incremental session
-//     (pipeline.Incremental): unchanged procedures are served from the
-//     session's summary store, and an α-equivalent resubmission skips
-//     the fixpoint entirely. The incremental layer's bit-identity
-//     contract means the response — summary text and engine counters
-//     alike — is indistinguishable from a cold run's, so the
+//     (pipeline.Incremental): an α-equivalent resubmission of the
+//     session's last version skips the fixpoint and replays its result;
+//     any other program runs the plain fixpoint. The incremental layer's
+//     bit-identity contract means the response — summary text and engine
+//     counters alike — is indistinguishable from a cold run's, so the
 //     coalescing/cache key ignores base.
 //
 // The completed-result cache is bounded (Config.CacheMax) with
@@ -72,12 +72,11 @@ type Request struct {
 	Options Options `json:"options,omitempty"`
 	// Base is the ProgramHash of a previously analyzed version this
 	// program is an edit of. Setting it routes an abstract run through
-	// the service's incremental session for these options, reusing the
-	// procedure summaries that survive the edit (and the whole previous
-	// result when the edit is α-neutral). Purely an optimization hint:
-	// the response is bit-identical with or without it, and a stale or
-	// unknown hash merely warms up from whatever the session still
-	// holds. Ignored for explore runs.
+	// the service's incremental session for these options, which replays
+	// the session's last result when the edit is α-neutral and runs the
+	// plain fixpoint otherwise. Purely an optimization hint: the response
+	// is bit-identical with or without it, and a stale or unknown hash
+	// merely runs the fixpoint. Ignored for explore runs.
 	Base string `json:"base,omitempty"`
 }
 
@@ -131,8 +130,8 @@ type Response struct {
 	// submitting an edit of this program.
 	ProgramHash string `json:"program_hash,omitempty"`
 	// Incremental marks an abstract run that went through the service's
-	// incremental session (Request.Base was set), so its expansions
-	// could hit the session's summary store.
+	// incremental session (Request.Base was set), so it could replay the
+	// session's previous result.
 	Incremental bool `json:"incremental,omitempty"`
 	// Coalesced marks a response served by attaching to another
 	// request's in-flight run; Cached one served from the completed-
@@ -192,7 +191,7 @@ type Service struct {
 	// most recently used entry; inserts past cfg.CacheMax evict the back.
 	cache    map[string]*list.Element
 	lru      *list.List // of *cacheEntry
-	incs     map[string]*incSession
+	incs     map[string]*pipeline.Incremental
 	incOrder []string // incremental sessions, least recently used first
 	stats    Stats
 	counters map[string]int64 // engine counters aggregated across runs
@@ -205,16 +204,9 @@ type cacheEntry struct {
 	out *outcome
 }
 
-// incSession is one per-options incremental analysis session. The inner
-// pipeline.Incremental serializes its own calls, so concurrent flights
-// over the same options share it safely.
-type incSession struct {
-	inc *pipeline.Incremental
-}
-
 // maxIncSessions bounds the distinct options keys with live incremental
-// sessions; the least recently used session (and its summary store) is
-// dropped past the bound.
+// sessions; the least recently used session (and the previous result it
+// holds) is dropped past the bound.
 const maxIncSessions = 8
 
 // flight is one in-flight engine run shared by every coalesced request.
@@ -249,7 +241,7 @@ func New(cfg Config) *Service {
 		flights:  map[string]*flight{},
 		cache:    map[string]*list.Element{},
 		lru:      list.New(),
-		incs:     map[string]*incSession{},
+		incs:     map[string]*pipeline.Incremental{},
 		counters: map[string]int64{},
 	}
 }
@@ -423,8 +415,9 @@ func requestKey(req *Request) (string, error) {
 }
 
 // optionsKey is the program-independent part of requestKey — also the
-// identity under which incremental sessions are shared (two requests
-// with the same optionsKey may reuse each other's procedure summaries).
+// identity under which incremental sessions are shared (a request may
+// replay the result another request with the same optionsKey left in
+// the session).
 func optionsKey(req *Request) string {
 	o := req.Options
 	return fmt.Sprintf("%s|red=%s coarsen=%t max=%d exact=%t dom=%s clan=%t outcomes=%t",
@@ -483,24 +476,24 @@ func (s *Service) incremental(key string, adjust func(*abssem.Options)) *pipelin
 		return nil
 	}
 	s.stats.IncrementalRuns++
-	if ses, ok := s.incs[key]; ok {
+	if inc, ok := s.incs[key]; ok {
 		for i, k := range s.incOrder {
 			if k == key {
 				s.incOrder = append(append(s.incOrder[:i:i], s.incOrder[i+1:]...), key)
 				break
 			}
 		}
-		return ses.inc
+		return inc
 	}
 	if len(s.incs) >= maxIncSessions {
 		oldest := s.incOrder[0]
 		s.incOrder = s.incOrder[1:]
 		delete(s.incs, oldest)
 	}
-	ses := &incSession{inc: pipeline.NewIncremental(pipeline.RunOptions{}, adjust)}
-	s.incs[key] = ses
+	inc := pipeline.NewIncremental(pipeline.RunOptions{}, adjust)
+	s.incs[key] = inc
 	s.incOrder = append(s.incOrder, key)
-	return ses.inc
+	return inc
 }
 
 // execute runs the request's engine under ctx on the shared pool, with

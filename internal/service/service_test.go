@@ -244,9 +244,9 @@ func main() {
 
 // An abstract request carrying the previous version's program_hash runs
 // through the incremental session: responses stay bit-identical to
-// direct scratch runs while the summary counters in /metrics show the
-// reuse (hits on untouched procedures, invalidations on edited ones,
-// whole-result reuse on α-neutral resubmissions).
+// direct scratch runs while the analysis cache counters in /metrics show
+// the session's choice (one miss for a real edit, one hit for an
+// α-neutral resubmission that replays the previous result).
 func TestIncrementalBaseRequests(t *testing.T) {
 	svc, ts := newSvc(t, 0, sched.Leveled)
 
@@ -283,18 +283,19 @@ func TestIncrementalBaseRequests(t *testing.T) {
 		t.Fatalf("incremental v2 summary diverged from scratch:\n%s\nvs\n%s", v2.Summary, scratch(svcIncV2))
 	}
 
-	// v3 edits bump only: the session re-runs warm, hitting summaries for
-	// everything the edit left alone and dropping the stale ones.
+	// v3 edits bump: the session runs the plain fixpoint, counting
+	// exactly one miss.
+	c := counters()
 	_, v3 := post(t, ts.URL, Request{Program: svcIncV3, Analysis: "abstract", Base: v2.ProgramHash})
 	if v3.Summary != scratch(svcIncV3) {
 		t.Fatalf("incremental v3 summary diverged from scratch")
 	}
-	c := counters()
-	if c["summary_hit"] == 0 {
-		t.Fatalf("edited re-analysis had no summary hits: %v", c)
+	c3 := counters()
+	if d := c3["analysis_cache_miss"] - c["analysis_cache_miss"]; d != 1 {
+		t.Fatalf("edited re-analysis counted %d misses, want 1: %v", d, c3)
 	}
-	if c["summary_invalidated"] == 0 {
-		t.Fatalf("editing bump invalidated no summaries: %v", c)
+	if d := c3["analysis_cache_hit"] - c["analysis_cache_hit"]; d != 0 {
+		t.Fatalf("edited re-analysis counted %d hits, want 0: %v", d, c3)
 	}
 
 	// v4 α-renames v3: same program hash, so the whole previous result is
@@ -303,8 +304,8 @@ func TestIncrementalBaseRequests(t *testing.T) {
 	if v4.Summary != scratch(svcIncV4) {
 		t.Fatalf("incremental v4 summary diverged from scratch")
 	}
-	if c := counters(); c["analysis_cache_hit"] == 0 {
-		t.Fatalf("α-neutral resubmission did not take the whole-program fast path: %v", c)
+	if c4 := counters(); c4["analysis_cache_hit"]-c3["analysis_cache_hit"] != 1 {
+		t.Fatalf("α-neutral resubmission did not take the whole-program fast path: %v", c4)
 	}
 
 	st := svc.Stats()
