@@ -75,7 +75,7 @@ race:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 	$(GO) run ./cmd/paperbench -small -json paperbench.json
-	$(GO) run ./cmd/paperbench -small -workers 4 -sched dep
+	$(GO) run ./cmd/paperbench -small -workers 4
 
 # Short native-fuzzing pass over the parser targets — enough to catch
 # regressions in the grammar's panic-freedom and round-trip property
@@ -98,7 +98,7 @@ soak-smoke:
 
 # Fixed-seed edit-sequence soak smoke — the CI soak-edits job: oracle 5
 # drives random 3-edit chains (progen.Mutate) through persistent
-# incremental sessions at 0/1/4 workers under both schedulers and
+# incremental sessions at 0/1/4 workers and
 # requires bit-identical results and deterministic counters against
 # from-scratch analysis of every version, under the race detector.
 EDITS_N ?= 200

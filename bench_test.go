@@ -282,30 +282,20 @@ func BenchmarkAbstractInterpret(b *testing.B) {
 }
 
 // BenchmarkAbstractParallel measures the parallel abstract fixpoint
-// engine against the sequential worklist on the heaviest abstract
-// reference workload, under both schedulers (workers-n1 dispatches to
-// the classic sequential loop, so it IS the pre-PR baseline; higher
-// counts run the leveled round-structured engine, and the dep-nN
-// variants run the dependency-driven pipeline — at one worker a genuine
-// two-goroutine pipeline, not a sequential alias). Results are
-// bit-identical at every worker count under either scheduler, so
-// benchstat comparisons isolate pure scheduling cost/benefit.
+// engine (leveled rounds) against the sequential worklist on the
+// heaviest abstract reference workload (workers-n1 dispatches to the
+// sequential loop, so it is the baseline). Results are bit-identical at
+// every worker count, so benchstat comparisons isolate pure scheduling
+// cost/benefit.
 func BenchmarkAbstractParallel(b *testing.B) {
 	prog := workloads.Philosophers(5)
-	for _, sc := range []sched.Scheduler{sched.Leveled, sched.DepDriven} {
-		prefix := "workers"
-		if sc == sched.DepDriven {
-			prefix = "dep"
-		}
-		for _, workers := range []int{1, 2, 4, 8, 16} {
-			b.Run(benchName(prefix, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := abssem.Analyze(prog, abssem.Options{
-						Domain: absdom.IntervalDomain{}, Workers: workers, Sched: sc})
-					b.ReportMetric(float64(res.States), "states")
-				}
-			})
-		}
+	for _, workers := range []int{1, 2, 4, 8, 16} {
+		b.Run(benchName("workers", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res := abssem.Analyze(prog, abssem.Options{Domain: absdom.IntervalDomain{}, Workers: workers})
+				b.ReportMetric(float64(res.States), "states")
+			}
+		})
 	}
 }
 
@@ -560,26 +550,19 @@ func BenchmarkSchedRounds(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExploration sweeps the concrete explorer over both
-// parallel schedulers and worker counts (workers-nN is the leveled
-// fan-out/serial-merge engine, with n1 the sequential baseline; dep-nN
-// is the dependency-driven pipeline).
+// BenchmarkParallelExploration sweeps the concrete explorer over worker
+// counts (workers-n1 is the sequential baseline; higher counts run the
+// dependency-driven pipeline).
 func BenchmarkParallelExploration(b *testing.B) {
 	prog := workloads.Philosophers(5)
-	for _, sc := range []sched.Scheduler{sched.Leveled, sched.DepDriven} {
-		prefix := "workers"
-		if sc == sched.DepDriven {
-			prefix = "dep"
-		}
-		for _, workers := range []int{1, 2, 4, 8, 16} {
-			b.Run(benchName(prefix, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := explore.Explore(prog, explore.Options{
-						Reduction: explore.Full, Workers: workers, Sched: sc, MaxConfigs: 1 << 22})
-					b.ReportMetric(float64(res.States), "states")
-				}
-			})
-		}
+	for _, workers := range []int{1, 2, 4, 8, 16} {
+		b.Run(benchName("workers", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res := explore.Explore(prog, explore.Options{
+					Reduction: explore.Full, Workers: workers, MaxConfigs: 1 << 22})
+				b.ReportMetric(float64(res.States), "states")
+			}
+		})
 	}
 }
 

@@ -55,8 +55,7 @@ func cliMain() (code int) {
 		coarsen    = flag.Bool("coarsen", false, "virtually coarsen non-critical runs")
 		gran       = flag.String("granularity", "ref", "transition granularity: ref (paper model) or stmt")
 		max        = flag.Int("max", 1<<20, "configuration cap")
-		workers    = flag.Int("workers", 1, "explorer goroutines (level-synchronized BFS; >1 enables parallel exploration)")
-		schedMode  = flag.String("sched", "leveled", "parallel scheduler: leveled (barrier per BFS level) or dep (dependency-driven pipeline); results are identical in either mode")
+		workers    = flag.Int("workers", 1, "explorer goroutines (>1 runs the dependency-driven parallel pipeline, <0 GOMAXPROCS); results are identical at any count")
 		exactKeys  = flag.Bool("exact-keys", false, "store full canonical keys in the visited set instead of 128-bit fingerprints (more memory, zero collision risk)")
 		outcomes   = flag.String("outcomes", "", "comma-separated globals: print the terminal outcome set")
 		terminals  = flag.Bool("terminals", false, "print every terminal configuration")
@@ -110,12 +109,6 @@ func cliMain() (code int) {
 		}()
 	}
 
-	schedSel, okSched := sched.ParseScheduler(*schedMode)
-	if !okSched {
-		fmt.Fprintf(os.Stderr, "unknown scheduler %q (leveled|dep)\n", *schedMode)
-		return 2
-	}
-
 	// One worker pool serves every exploration of the invocation (nil —
 	// and ignored by the engine — for sequential worker counts).
 	pool := sched.ForWorkers(*workers)
@@ -148,7 +141,6 @@ func cliMain() (code int) {
 	// One run configuration spans every exploration of the invocation.
 	a.Configure(core.RunOptions{
 		Workers:    *workers,
-		Sched:      schedSel,
 		Pool:       pool,
 		MaxConfigs: *max,
 		ExactKeys:  *exactKeys,

@@ -10,9 +10,7 @@
 // truncates — the regression gate CI's bench job enforces. -workers N
 // threads one shared RunOptions (worker count + one sched.Pool) through
 // every experiment and both verification sweeps; every recorded count
-// must match at any worker count. -sched picks the parallel scheduler
-// (leveled rounds or the dependency-driven pipeline); recorded counts
-// must match in either mode.
+// must match at any worker count.
 //
 // With -json FILE it also writes a machine-readable report: environment,
 // per-experiment tables, and per-workload rows (counts, wall-clock,
@@ -47,7 +45,6 @@ type report struct {
 	Small       bool                      `json:"small"`
 	ExactKeys   bool                      `json:"exact_keys"`
 	Workers     int                       `json:"workers"`
-	Sched       string                    `json:"sched"`
 	Experiments []experimentRow           `json:"experiments"`
 	Workloads   []paperexp.WorkloadRow    `json:"workloads,omitempty"`
 	AbsRuns     []paperexp.AbsWorkloadRow `json:"abstract_workloads,omitempty"`
@@ -70,21 +67,15 @@ func main() {
 	verify := flag.Bool("verify", true, "check reference workloads against recorded state counts; exit 1 on divergence")
 	exactKeys := flag.Bool("exact-keys", false, "verify the reference workloads with full canonical keys instead of the default 128-bit fingerprints")
 	workers := flag.Int("workers", 0, "worker goroutines for every experiment and verification run (0/1 sequential, <0 GOMAXPROCS); recorded counts must hold at any count")
-	schedMode := flag.String("sched", "leveled", "parallel scheduler: leveled or dep; recorded counts must hold in either mode")
 	jsonOut := flag.String("json", "", "write a machine-readable report (experiments + per-workload metrics rows) to this file")
 	flag.Parse()
 
 	// One run configuration — and one worker pool — spans every
 	// experiment and verification run of the invocation (nil pool, ignored
 	// by the engines, for sequential requests).
-	schedSel, okSched := sched.ParseScheduler(*schedMode)
-	if !okSched {
-		fmt.Fprintf(os.Stderr, "unknown scheduler %q (leveled|dep)\n", *schedMode)
-		os.Exit(2)
-	}
 	pool := sched.ForWorkers(*workers)
 	defer pool.Close()
-	ro := pipeline.RunOptions{Workers: *workers, Sched: schedSel, Pool: pool, ExactKeys: *exactKeys}
+	ro := pipeline.RunOptions{Workers: *workers, Pool: pool, ExactKeys: *exactKeys}
 
 	// An interrupt stops at the next experiment boundary; the tables
 	// printed so far stand, the verification gate is skipped (its result
@@ -100,7 +91,6 @@ func main() {
 		Small:     *small,
 		ExactKeys: *exactKeys,
 		Workers:   *workers,
-		Sched:     schedSel.String(),
 		OK:        true,
 	}
 

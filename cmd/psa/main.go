@@ -23,11 +23,9 @@
 //
 // -workers N runs both the concrete explorer and the abstract fixpoint
 // engine with N worker goroutines (0/1 sequential, negative GOMAXPROCS);
-// every reported number is identical at any worker count. -sched picks
-// the parallel scheduler: leveled (barrier-per-round fan-out/serial-
-// merge, the default) or dep (the dependency-driven pipeline, which
-// merges each task as soon as its predecessors in sequential discovery
-// order have merged) — reported numbers are identical in either mode.
+// every reported number is identical at any worker count. The explorer
+// runs in parallel on the dependency-driven pipeline, the abstract
+// engine on leveled fan-out/serial-merge rounds.
 //
 // Observability: -metrics prints an engine-counter report (states
 // generated/deduped per BFS level, stubborn-set decisions, widening and
@@ -79,7 +77,6 @@ func cliMain() (code int) {
 		invariants  = flag.String("invariants", "", "label: print the abstract value of every global at that statement")
 		report      = flag.Bool("report", false, "print a full markdown analysis report")
 		workers     = flag.Int("workers", 0, "worker goroutines for the concrete explorer and the abstract fixpoint (0/1 sequential, <0 GOMAXPROCS); results are identical at any count")
-		schedMode   = flag.String("sched", "leveled", "parallel scheduler: leveled (barrier per round) or dep (dependency-driven pipeline); results are identical in either mode")
 		showMetrics = flag.Bool("metrics", false, "print the engine metrics report after the analyses")
 		metricsJSON = flag.String("metrics-json", "", "write the engine metrics snapshot as JSON to this file")
 		progress    = flag.Duration("progress", 0, "print a progress line to stderr at this interval (e.g. 2s)")
@@ -99,12 +96,6 @@ func cliMain() (code int) {
 	if *format {
 		fmt.Print(a.Format())
 		return
-	}
-
-	schedSel, ok := sched.ParseScheduler(*schedMode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scheduler %q (leveled|dep)\n", *schedMode)
-		return 2
 	}
 
 	// One worker pool spans every parallel engine run of the invocation
@@ -141,7 +132,7 @@ func cliMain() (code int) {
 	// Collect-backed queries (dependences, anomalies, placements, ...)
 	// fuse into one instrumented exploration, and the abstract runs
 	// inherit the same pool and registry.
-	a.Configure(core.RunOptions{Workers: *workers, Sched: schedSel, Pool: pool, Metrics: reg})
+	a.Configure(core.RunOptions{Workers: *workers, Pool: pool, Metrics: reg})
 
 	ran := false
 

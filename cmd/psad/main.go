@@ -8,7 +8,6 @@
 //
 //	  -addr :8723     listen address
 //	  -workers N      worker goroutines per run (0/1 sequential, <0 GOMAXPROCS)
-//	  -sched leveled  parallel scheduler: leveled or dep
 //	  -drain 10s      graceful-shutdown drain budget
 //	  -max-body N     request body cap in bytes
 //	  -cache-max N    completed-result cache bound (LRU; <0 unbounded)
@@ -23,8 +22,7 @@
 // result-relevant options) coalesce onto one engine run; completed
 // results are cached under the same key, bounded by -cache-max with
 // least-recently-used eviction (the cache_evictions counter in /metrics
-// tracks drops). Worker count and scheduler are server-side
-// configuration: by the engines' determinism contract they never change
+// tracks drops). Worker count is server-side configuration: by the engines' determinism contract they never change
 // results, so responses are bit-identical to cmd/psa's summaries for
 // the same program and options at any -workers setting.
 //
@@ -36,6 +34,10 @@
 // (analysis_cache_hit in /metrics); any other program runs the plain
 // fixpoint (analysis_cache_miss). Responses stay bit-identical to cold
 // runs — base is purely an optimization hint.
+//
+// A connection gets readHeaderTimeout to send its request headers, so a
+// client trickling header bytes cannot hold a goroutine and a file
+// descriptor forever.
 //
 // Shutdown: on SIGINT/SIGTERM the daemon stops accepting connections
 // and drains in-flight requests for -drain; runs still going after the
@@ -56,12 +58,20 @@ import (
 	"syscall"
 	"time"
 
-	"psa/internal/sched"
 	"psa/internal/service"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(run())
+}
+
+// newServer builds the daemon's HTTP server around h.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // run carries the exit code so deferred cleanup (service close, pool
@@ -70,7 +80,6 @@ func run() int {
 	var (
 		addr     = flag.String("addr", ":8723", "listen address")
 		workers  = flag.Int("workers", 0, "worker goroutines per analysis run (0/1 sequential, <0 GOMAXPROCS); results are identical at any count")
-		schedMd  = flag.String("sched", "leveled", "parallel scheduler: leveled or dep; results are identical in either mode")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget before in-flight runs are cancelled")
 		maxBody  = flag.Int64("max-body", 1<<20, "request body cap in bytes")
 		cacheMax = flag.Int("cache-max", 1024, "max completed results cached (LRU eviction; negative = unbounded)")
@@ -81,13 +90,7 @@ func run() int {
 		flag.PrintDefaults()
 		return 2
 	}
-	schedSel, ok := sched.ParseScheduler(*schedMd)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scheduler %q (leveled|dep)\n", *schedMd)
-		return 2
-	}
-
-	svc := service.New(service.Config{Workers: *workers, Sched: schedSel, MaxBody: *maxBody, CacheMax: *cacheMax})
+	svc := service.New(service.Config{Workers: *workers, MaxBody: *maxBody, CacheMax: *cacheMax})
 	defer svc.Close()
 
 	// Listen before forking the serve goroutine so the real bound
@@ -97,14 +100,14 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "psad:", err)
 		return 1
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := newServer(svc.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "psad: listening on %s (workers=%d sched=%s)\n", ln.Addr(), *workers, schedSel)
+	fmt.Fprintf(os.Stderr, "psad: listening on %s (workers=%d)\n", ln.Addr(), *workers)
 
 	select {
 	case err := <-errc:

@@ -181,6 +181,15 @@ func TestPsadSmoke(t *testing.T) {
 	}
 }
 
+// The server run() builds bounds header reads, so a client trickling
+// header bytes cannot hold a connection open forever.
+func TestServerBoundsHeaderReads(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+}
+
 // A bad flag or leftover argument exits 2 before the listener starts.
 func TestPsadUsageErrors(t *testing.T) {
 	if testing.Short() {
@@ -189,7 +198,7 @@ func TestPsadUsageErrors(t *testing.T) {
 	bin := buildPsad(t, t.TempDir())
 	for _, args := range [][]string{
 		{"stray-arg"},
-		{"-sched", "nope"},
+		{"-no-such-flag", "1"},
 	} {
 		err := exec.Command(bin, args...).Run()
 		ee, ok := err.(*exec.ExitError)

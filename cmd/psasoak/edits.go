@@ -7,11 +7,10 @@ package main
 // two ways and the results compared field for field:
 //
 //   - from scratch: pipeline.Analyze with a fresh metrics registry;
-//   - incrementally: six persistent pipeline.Incremental sessions — one
-//     per (workers, scheduler) point in {0, 1, 4} × {leveled,
-//     dep-driven} — each fed the whole chain in order, so a session
-//     replays its previous result when an edit is α-neutral and runs
-//     the plain fixpoint otherwise.
+//   - incrementally: three persistent pipeline.Incremental sessions — one
+//     per worker count in {0, 1, 4} — each fed the whole chain in order,
+//     so a session replays its previous result when an edit is
+//     α-neutral and runs the plain fixpoint otherwise.
 //
 // The oracle demands Result.Digest equality AND deterministic-counter
 // equality at every step of every session: incremental re-analysis must
@@ -29,7 +28,6 @@ import (
 	"psa/internal/metrics"
 	"psa/internal/pipeline"
 	"psa/internal/progen"
-	"psa/internal/sched"
 )
 
 // editSeed derives the Mutate seed of the i-th edit of a chain from the
@@ -52,7 +50,7 @@ func editChain(src string, seed int64, n int) (versions, descs []string, err err
 	return versions, descs, nil
 }
 
-// editChainDiff replays versions through the six incremental sessions
+// editChainDiff replays versions through the three incremental sessions
 // and compares each step against a from-scratch analysis. It returns
 // ("", false) when every step of every session is bit-identical to
 // scratch, (detail, false) on the first divergence, and (_, true) when
@@ -64,17 +62,14 @@ func editChainDiff(versions []string, ro pipeline.RunOptions) (detail string, tr
 		inc  *pipeline.Incremental
 	}
 	var sessions []*session
-	for _, sc := range []sched.Scheduler{sched.Leveled, sched.DepDriven} {
-		for _, w := range []int{0, 1, 4} {
-			roW := ro
-			roW.Workers = w
-			roW.Sched = sc
-			sessions = append(sessions, &session{
-				name: fmt.Sprintf("sched=%s workers=%d", sc, w),
-				ro:   roW,
-				inc:  pipeline.NewIncremental(roW, nil),
-			})
-		}
+	for _, w := range []int{0, 1, 4} {
+		roW := ro
+		roW.Workers = w
+		sessions = append(sessions, &session{
+			name: fmt.Sprintf("workers=%d", w),
+			ro:   roW,
+			inc:  pipeline.NewIncremental(roW, nil),
+		})
 	}
 	for vi, src := range versions {
 		sm := metrics.New()

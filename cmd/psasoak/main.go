@@ -7,8 +7,7 @@
 //  2. reduction: stubborn-set reduction and virtual coarsening preserve
 //     the terminal store set of full exploration;
 //  3. parallel: both engines report bit-identical results at 1, 4, and
-//     GOMAXPROCS workers, under both the leveled and the
-//     dependency-driven scheduler;
+//     GOMAXPROCS workers;
 //  4. fingerprint: the 128-bit fingerprinted visited set and the exact
 //     canonical-key visited set agree on state counts and terminals.
 //
@@ -16,9 +15,8 @@
 // each seed's program becomes the base of an N-step random edit chain
 // (progen.Mutate), and every version is checked for bit-identity —
 // Result digest and deterministic counters — between from-scratch
-// analysis and six persistent incremental sessions (workers 0/1/4 ×
-// both schedulers) that each carry their previous result across the
-// chain.
+// analysis and three persistent incremental sessions (workers 0/1/4)
+// that each carry their previous result across the chain.
 //
 // Programs whose exploration hits the configuration cap are skipped (the
 // oracles need complete answers). On divergence the failing program is
@@ -52,7 +50,6 @@ import (
 	"psa/internal/lang"
 	"psa/internal/pipeline"
 	"psa/internal/progen"
-	"psa/internal/sched"
 	"psa/internal/sem"
 )
 
@@ -264,33 +261,26 @@ func runOracles(prog *lang.Program, maxConfigs int, injectUnsound bool) (skipped
 		}
 	}
 
-	// Oracle 3: parallel-vs-sequential bit-identity for both engines,
-	// under both parallel schedulers (the leveled rounds and the
-	// dependency-driven pipeline). Under DepDriven, workers=1 is a
-	// genuine two-goroutine pipeline, not a sequential short-circuit.
+	// Oracle 3: parallel-vs-sequential bit-identity for both engines.
 	checked = append(checked, "parallel")
-	for _, sc := range []sched.Scheduler{sched.Leveled, sched.DepDriven} {
-		for _, w := range []int{1, 4, -1} {
-			sc, w := sc, w
-			roW := ro
-			roW.Workers = w
-			roW.Sched = sc
-			par := pipeline.Explore(prog, roW)
-			if d := concreteDiff(full, par); d != "" {
-				failures = append(failures, failure{
-					oracle: "parallel",
-					detail: fmt.Sprintf("concrete engine at sched=%s workers=%d: %s", sc, w, d),
-					pred:   parallelConcretePred(ro, sc, w),
-				})
-			}
-			parAbs := pipeline.Analyze(prog, roW, nil)
-			if d := abstractDiff(abs, parAbs); d != "" {
-				failures = append(failures, failure{
-					oracle: "parallel",
-					detail: fmt.Sprintf("abstract engine at sched=%s workers=%d: %s", sc, w, d),
-					pred:   parallelAbstractPred(ro, sc, w),
-				})
-			}
+	for _, w := range []int{1, 4, -1} {
+		roW := ro
+		roW.Workers = w
+		par := pipeline.Explore(prog, roW)
+		if d := concreteDiff(full, par); d != "" {
+			failures = append(failures, failure{
+				oracle: "parallel",
+				detail: fmt.Sprintf("concrete engine at workers=%d: %s", w, d),
+				pred:   parallelConcretePred(ro, w),
+			})
+		}
+		parAbs := pipeline.Analyze(prog, roW, nil)
+		if d := abstractDiff(abs, parAbs); d != "" {
+			failures = append(failures, failure{
+				oracle: "parallel",
+				detail: fmt.Sprintf("abstract engine at workers=%d: %s", w, d),
+				pred:   parallelAbstractPred(ro, w),
+			})
 		}
 	}
 
@@ -378,12 +368,11 @@ func reductionPred(alt, base pipeline.RunOptions) func(*lang.Program) bool {
 	}
 }
 
-func parallelConcretePred(base pipeline.RunOptions, sc sched.Scheduler, workers int) func(*lang.Program) bool {
+func parallelConcretePred(base pipeline.RunOptions, workers int) func(*lang.Program) bool {
 	return func(p *lang.Program) bool {
 		seq := pipeline.Explore(p, base)
 		roW := base
 		roW.Workers = workers
-		roW.Sched = sc
 		par := pipeline.Explore(p, roW)
 		if seq.Truncated {
 			return false
@@ -392,12 +381,11 @@ func parallelConcretePred(base pipeline.RunOptions, sc sched.Scheduler, workers 
 	}
 }
 
-func parallelAbstractPred(base pipeline.RunOptions, sc sched.Scheduler, workers int) func(*lang.Program) bool {
+func parallelAbstractPred(base pipeline.RunOptions, workers int) func(*lang.Program) bool {
 	return func(p *lang.Program) bool {
 		seq := pipeline.Analyze(p, base, nil)
 		roW := base
 		roW.Workers = workers
-		roW.Sched = sc
 		par := pipeline.Analyze(p, roW, nil)
 		if seq.Truncated {
 			return false

@@ -19,18 +19,17 @@
 // Both engines are deterministically parallel on one shared runtime,
 // internal/sched: a persistent worker pool (explore/abssem
 // Options.Workers size a private one; Options.Pool shares one across
-// engine calls, as the CLIs do) fans expensive per-state work out into
-// position-indexed slots while a serial in-order merge owns all
-// order-sensitive bookkeeping — dedup and frontier order in the
-// explorer; joins, widening decisions, and worklist order in the
-// abstract interpreter — so every result and every deterministic
-// metric is bit-identical at any worker count (differential tests pin
-// this under the race detector). Two scheduling protocols share that
-// contract: leveled fan-out/serial-merge rounds (the default), and a
-// dependency-driven pipeline (Options.Sched = sched.DepDriven, CLI
-// flag -sched dep) that merges each task as soon as its predecessors
-// in sequential discovery order have merged — no level barrier, same
-// bit-identical results. Both engines accept a context
+// engine calls, as the CLIs do) fans expensive per-state work out while
+// a serial in-order merge owns all order-sensitive bookkeeping — dedup
+// and frontier order in the explorer; joins, widening decisions, and
+// worklist order in the abstract interpreter — so every result and
+// every deterministic metric is bit-identical at any worker count
+// (differential tests pin this under the race detector). Each engine
+// has one parallel executor, the one that measured faster for it
+// (DESIGN.md §7): the explorer runs a dependency-driven pipeline that
+// merges each task as soon as its predecessors in sequential discovery
+// order have merged, with no level barrier; the abstract interpreter
+// runs leveled fan-out/serial-merge rounds. Both engines accept a context
 // (explore.ExploreContext, abssem.AnalyzeContext, or
 // core.Analyzer.WithContext): cancellation stops the run at its next
 // merge boundary and returns a coherent partial result flagged
@@ -44,7 +43,7 @@
 // result from its canonical whole-program hash (internal/lang) without
 // re-running the fixpoint; a real edit runs the plain fixpoint. Results
 // and deterministic counters are bit-identical to a from-scratch run at
-// any worker count under either scheduler; cmd/psad exposes the session
+// any worker count; cmd/psad exposes the session
 // via the optional "base" program-hash hint on /analyze (DESIGN.md §13).
 //
 // The engines are instrumented through internal/metrics, a nil-safe

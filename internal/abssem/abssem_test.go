@@ -7,6 +7,7 @@ import (
 	"psa/internal/absdom"
 	"psa/internal/explore"
 	"psa/internal/lang"
+	"psa/internal/progen"
 	"psa/internal/pstring"
 	"psa/internal/sem"
 	"psa/internal/workloads"
@@ -287,14 +288,11 @@ func TestDifferentialSoundness(t *testing.T) {
 		t.Skip("differential corpus in -short mode")
 	}
 	domains := []absdom.NumDomain{absdom.ConstDomain{}, absdom.SignDomain{}, absdom.IntervalDomain{}}
-	progFor := func(seed int64) *lang.Program {
-		if seed >= 40 {
-			return workloads.RandomRich(seed - 40)
-		}
-		return workloads.Random(seed)
-	}
 	for seed := int64(0); seed < 48; seed++ {
-		prog := progFor(seed)
+		prog, _, err := progen.Generate(seed, progen.CorpusProfile())
+		if err != nil {
+			t.Fatal(err)
+		}
 		conc := explore.Explore(prog, explore.Options{Reduction: explore.Full, MaxConfigs: 1 << 17})
 		if conc.Truncated {
 			continue

@@ -245,31 +245,6 @@ func (dst *AConfig) joinInto(src *AConfig, widen bool) bool {
 	return changed
 }
 
-// joinCopy is the copy-on-write joinInto the dependency-driven engine
-// needs: the receiver is left untouched (workers may be reading it
-// through a published snapshot) and the join lands in a fresh
-// configuration. deepCopy alone is not enough — it copies aDest and
-// aPending by value, so the Target slices still share backing arrays
-// with the receiver, and mergeDest appends to and sorts those slices in
-// place — so the copy privatizes every destTargets slice before joining.
-// The joined values are computed by the same joinInto the sequential
-// engine runs, so results stay bit-identical.
-func (dst *AConfig) joinCopy(src *AConfig, widen bool) (*AConfig, bool) {
-	nc := dst.deepCopy()
-	for _, p := range nc.Procs {
-		for _, f := range p.Frames {
-			if f.Dest.kind == destTargets {
-				f.Dest.ts = append([]absdom.Target(nil), f.Dest.ts...)
-			}
-			if f.Pending != nil && f.Pending.dest.kind == destTargets {
-				f.Pending.dest.ts = append([]absdom.Target(nil), f.Pending.dest.ts...)
-			}
-		}
-	}
-	changed := nc.joinInto(src, widen)
-	return nc, changed
-}
-
 // mergeDest unions target sets of two dests with the same kind.
 func mergeDest(d *aDest, o aDest) bool {
 	if d.kind != destTargets {

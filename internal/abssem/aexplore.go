@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"psa/internal/absdom"
 	"psa/internal/lang"
@@ -51,19 +50,6 @@ type Options struct {
 	// engine's for any worker count: joins, widening decisions, dedup,
 	// and queue order stay in a serial per-round merge (see aparallel.go).
 	Workers int
-	// Sched selects the parallel execution strategy: sched.Leveled (the
-	// zero value) runs fan-out/serial-merge rounds with a barrier per
-	// round (aparallel.go); sched.DepDriven runs the dependency-driven
-	// pipeline (adep.go), which merges each worklist entry as soon as its
-	// predecessors in sequential discovery order have merged — no level
-	// barrier. Like Workers and Pool, Sched is execution-only: every
-	// Result field and every deterministic metrics counter is identical
-	// under either scheduler, so it is excluded from analysis cache keys.
-	// Ignored on sequential runs except that DepDriven with Workers == 1
-	// runs the dependency-driven engine on a single worker (a genuine
-	// two-goroutine pipeline), where Leveled with Workers == 1 stays
-	// sequential.
-	Sched sched.Scheduler
 	// Pool, when non-nil, is the shared scheduler pool (internal/sched)
 	// the parallel fixpoint runs on: its worker count governs
 	// scheduling, the caller keeps ownership (Analyze never closes it),
@@ -107,7 +93,7 @@ func (o *Options) fill() {
 // Analyze will actually run with: 0 becomes the documented default,
 // negative becomes the boundary 0, and a nil Domain becomes ConstDomain.
 // Two Options values that normalize equal configure identical analyses
-// (up to the execution-only fields Workers, Sched, Pool, and Metrics,
+// (up to the execution-only fields Workers, Pool, and Metrics,
 // which never change results) — the property the pipeline layer's
 // options-keyed result cache relies on.
 func (o Options) Normalized() Options {
@@ -211,21 +197,9 @@ type aState struct {
 	visits int
 	queued bool
 	// changed is the merge sequence number of the last join that grew
-	// this state's value component. Only the parallel engines read it
+	// this state's value component. Only the parallel engine reads it
 	// (stale-expansion detection); the sequential engine leaves it 0.
 	changed int
-	// snap is the dependency-driven engine's published snapshot of
-	// (cfg, changed): workers expand from whatever pair they load, and
-	// the serial merge re-expands when the state grew after the load.
-	// Only adep.go touches it; joins there are copy-on-write, so a
-	// loaded snapshot is immutable. Unused by the other engines.
-	snap atomic.Pointer[absSnap]
-}
-
-// absSnap is one immutable (configuration, change-sequence) pair.
-type absSnap struct {
-	cfg *AConfig
-	seq int
 }
 
 // newStepCtx builds the per-run context of the abstract semantics.
@@ -262,10 +236,7 @@ func AnalyzeContext(ctx context.Context, prog *lang.Program, opts Options) *Resu
 		ctx = context.Background()
 	}
 	opts.fill()
-	if opts.Workers > 1 || opts.Workers < 0 || (opts.Sched == sched.DepDriven && opts.Workers == 1) {
-		if opts.Sched == sched.DepDriven {
-			return analyzeDep(ctx, prog, opts)
-		}
+	if opts.Workers > 1 || opts.Workers < 0 {
 		return analyzeParallel(ctx, prog, opts)
 	}
 	// done is nil for a never-cancellable context, keeping the worklist

@@ -13,8 +13,7 @@ import (
 // on the shared deterministic runtime (internal/sched) so successor
 // generation parallelizes while the lattice bookkeeping stays serial
 // (after Kim, Venet & Thakur, "Deterministic Parallel Fixpoint
-// Computation", POPL 2020, and the concrete explorer's
-// level-synchronized design in explore/parallel.go).
+// Computation", POPL 2020).
 //
 // Each round snapshots the pending worklist and fans the expensive,
 // side-effect-free work — sc.step (abstract transfer functions),
@@ -40,6 +39,12 @@ import (
 // the same round that re-visits it) and are counted in the perf-only
 // abs_stale_recomputes metric.
 //
+// This is the abstract engine's only parallel loop. The dependency-driven
+// executor (sched.DepRounds) measured slower here (DESIGN.md §7): a
+// worker may still be reading a state the merge joins into, so every
+// such join would have to copy the configuration, and those copies cost
+// more than the round barrier saves.
+//
 // Cancellation rides the sched runtime: rounds.DoContext stops the
 // serial merge before its next entry once ctx fires, in-flight
 // expansions drain, and the run falls through to collection exactly
@@ -51,12 +56,11 @@ func analyzeParallel(ctx context.Context, prog *lang.Program, opts Options) *Res
 		pool = sched.NewPool(opts.Workers)
 		defer pool.Close()
 	}
-	// Metrics discipline mirrors the concrete parallel explorer: every
-	// counter that must match the sequential engine (visits, joins,
-	// widenings, states) is recorded in the serial merge; workers only
-	// compute. The worker-dependent counters (abs_steals, fed through
-	// the sched steal hook) and the round-structure ones
-	// (abs_stale_recomputes) are perf-only.
+	// Metrics discipline: every counter that must match the sequential
+	// engine (visits, joins, widenings, states) is recorded in the serial
+	// merge; workers only compute. The worker-dependent counters
+	// (abs_steals, fed through the sched steal hook) and the
+	// round-structure ones (abs_stale_recomputes) are perf-only.
 	m := opts.Metrics
 	defer m.Phase("abstract")()
 	sc := newStepCtx(prog, opts)

@@ -13,6 +13,7 @@ import (
 	"psa/internal/absdom"
 	"psa/internal/lang"
 	"psa/internal/metrics"
+	"psa/internal/progen"
 	"psa/internal/workloads"
 )
 
@@ -67,9 +68,21 @@ func sameResult(t *testing.T, seq, par *Result) {
 	}
 }
 
+// analyzeAt runs prog at the given worker count. Workers=1 short-circuits
+// to the sequential loop in Analyze, so it drives the parallel engine's
+// single-worker inline path directly to cover that too.
+func analyzeAt(prog *lang.Program, opts Options, workers int) *Result {
+	opts.Workers = workers
+	if workers == 1 {
+		opts.fill()
+		return analyzeParallel(context.Background(), prog, opts)
+	}
+	return Analyze(prog, opts)
+}
+
 // The parallel abstract fixpoint must reproduce the sequential engine's
 // Result bit-for-bit — including the deterministic metrics counters — at
-// 1, 4, and GOMAXPROCS workers, across domains and workload shapes.
+// 1, 2, 4, 8, and GOMAXPROCS workers, across domains and workload shapes.
 // (CI runs this under -race; the workers share the step context and the
 // round's state snapshots, so the race detector exercises the "workers
 // only read, merge only writes" discipline.)
@@ -92,19 +105,9 @@ func TestParallelMatchesSequentialAbstract(t *testing.T) {
 			t.Run(dname+"/"+pname, func(t *testing.T) {
 				mseq := metrics.New()
 				seq := Analyze(prog, Options{Domain: dom, CollectFootprints: true, Metrics: mseq})
-				for _, workers := range []int{1, 4, -1} {
+				for _, workers := range []int{1, 2, 4, 8, -1} {
 					mpar := metrics.New()
-					opts := Options{Domain: dom, CollectFootprints: true, Metrics: mpar, Workers: workers}
-					var par *Result
-					if workers == 1 {
-						// Workers=1 short-circuits to the sequential loop in
-						// Analyze; drive the parallel engine's single-worker
-						// inline path directly so it is covered too.
-						opts.fill()
-						par = analyzeParallel(context.Background(), prog, opts)
-					} else {
-						par = Analyze(prog, opts)
-					}
+					par := analyzeAt(prog, Options{Domain: dom, CollectFootprints: true, Metrics: mpar}, workers)
 					sameResult(t, seq, par)
 					got := mpar.Snapshot().DeterministicCounters()
 					want := mseq.Snapshot().DeterministicCounters()
@@ -153,21 +156,26 @@ func TestParallelCorpusAbstract(t *testing.T) {
 	}
 }
 
-// Random programs stress join/widen interleavings the hand-written
-// workloads miss — in particular rounds where a join grows a state that
-// was snapshotted earlier in the same round (the stale-recompute path).
+// Random programs (loops, nested cobegin, heap traffic) stress join/widen
+// interleavings the hand-written workloads miss — in particular rounds
+// where a join grows a state that was snapshotted earlier in the same
+// round (the stale-recompute path).
 func TestParallelRandomAbstract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("random corpus in -short mode")
 	}
 	for seed := int64(0); seed < 20; seed++ {
-		prog := workloads.RandomRich(seed)
-		seq := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true})
-		par := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true, Workers: 4})
-		if t.Failed() {
-			return
+		prog, _, err := progen.Generate(seed, progen.CorpusProfile())
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { sameResult(t, seq, par) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			opts := Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true}
+			seq := Analyze(prog, opts)
+			for _, workers := range []int{2, 4} {
+				sameResult(t, seq, analyzeAt(prog, opts, workers))
+			}
+		})
 	}
 }
 
@@ -181,9 +189,8 @@ func TestParallelTruncationMatches(t *testing.T) {
 		if !seq.Truncated {
 			t.Fatalf("MaxStates=%d did not truncate", max)
 		}
-		popts := opts
-		popts.Workers = 4
-		par := Analyze(prog, popts)
-		sameResult(t, seq, par)
+		for _, workers := range []int{1, 4} {
+			sameResult(t, seq, analyzeAt(prog, opts, workers))
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"psa/internal/absdom"
 	"psa/internal/metrics"
-	"psa/internal/sched"
 	"psa/internal/workloads"
 )
 
@@ -39,15 +38,13 @@ func TestAnalyzeContextPreCancelled(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		sched   sched.Scheduler
 	}{
-		{"sequential", 0, sched.Leveled},
-		{"leveled-4", 4, sched.Leveled},
-		{"dep-4", 4, sched.DepDriven},
+		{"sequential", 0},
+		{"workers-4", 4},
 	} {
 		before := runtime.NumGoroutine()
 		res := AnalyzeContext(ctx, workloads.Philosophers(3), Options{
-			Workers: tc.workers, Sched: tc.sched,
+			Workers: tc.workers,
 		})
 		if !res.Cancelled {
 			t.Errorf("%s: Cancelled not set on a pre-cancelled run", tc.name)
@@ -77,11 +74,9 @@ func TestAnalyzeContextCancelMidRun(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		sched   sched.Scheduler
 	}{
-		{"sequential", 0, sched.Leveled},
-		{"leveled-4", 4, sched.Leveled},
-		{"dep-4", 4, sched.DepDriven},
+		{"sequential", 0},
+		{"workers-4", 4},
 	} {
 		before := runtime.NumGoroutine()
 		reg := metrics.New()
@@ -90,7 +85,7 @@ func TestAnalyzeContextCancelMidRun(t *testing.T) {
 		go func() {
 			resc <- AnalyzeContext(ctx, workloads.Philosophers(5), Options{
 				Domain: absdom.IntervalDomain{}, Metrics: reg,
-				Workers: tc.workers, Sched: tc.sched,
+				Workers: tc.workers,
 			})
 		}()
 		// Cancel once the fixpoint has demonstrably visited some prefix.
@@ -132,14 +127,12 @@ func TestAbsTruncationNotReportedAsCancellation(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		sched   sched.Scheduler
 	}{
-		{"sequential", 0, sched.Leveled},
-		{"leveled-4", 4, sched.Leveled},
-		{"dep-4", 4, sched.DepDriven},
+		{"sequential", 0},
+		{"workers-4", 4},
 	} {
 		res := AnalyzeContext(context.Background(), workloads.Philosophers(4), Options{
-			MaxStates: 100, Workers: tc.workers, Sched: tc.sched,
+			MaxStates: 100, Workers: tc.workers,
 		})
 		if !res.Truncated {
 			t.Errorf("%s: expected truncation at MaxStates=100", tc.name)

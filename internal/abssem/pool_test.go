@@ -58,7 +58,14 @@ func TestPoolCleanShutdownOnTruncation(t *testing.T) {
 	popts.Pool = pool
 	par := Analyze(prog, popts)
 	sameResult(t, seq, par)
-	// The pool survives the cut and serves a complete fixpoint next.
+	// The pool survives the cut and serves the concrete explorer and a
+	// complete fixpoint next.
+	eseq := explore.Explore(prog, explore.Options{Reduction: explore.Full})
+	epar := explore.Explore(prog, explore.Options{Reduction: explore.Full, Workers: 4, Pool: pool})
+	if epar.States != eseq.States || epar.Edges != eseq.Edges {
+		t.Errorf("post-truncation explorer on the shared pool: %d/%d != sequential %d/%d",
+			epar.States, epar.Edges, eseq.States, eseq.Edges)
+	}
 	full := Analyze(prog, Options{Domain: absdom.ConstDomain{}, Workers: 4, Pool: pool})
 	if full.Truncated {
 		t.Error("post-truncation reuse: full run reported truncation")
@@ -92,63 +99,4 @@ func waitForGoroutineBaseline(t *testing.T, want int) {
 		runtime.Gosched()
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// The dependency-driven engine on a shared pool: consecutive dep-mode
-// runs, mixed with leveled and concrete-explorer runs, must match the
-// sequential engines and release every goroutine on Close — including
-// after a MaxStates truncation, which stops the merge chain mid-
-// dependency-chain while workers may still hold claimed expansions.
-func TestDepSharedPoolAndTruncationShutdown(t *testing.T) {
-	prog := workloads.Philosophers(3)
-	before := runtime.NumGoroutine()
-	pool := sched.NewPool(4)
-
-	aseq := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true})
-	for run := 0; run < 2; run++ {
-		apar := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true,
-			Workers: 4, Pool: pool, Sched: sched.DepDriven})
-		sameResult(t, aseq, apar)
-	}
-
-	// Truncation mid-chain: the cut must not leak workers, drop merges of
-	// the explored prefix, or poison the pool for later runs.
-	topts := Options{Domain: absdom.ConstDomain{}, CollectFootprints: true, MaxStates: 17}
-	tseq := Analyze(prog, topts)
-	if !tseq.Truncated {
-		t.Fatal("MaxStates=17 did not truncate")
-	}
-	tpopts := topts
-	tpopts.Workers = 4
-	tpopts.Pool = pool
-	tpopts.Sched = sched.DepDriven
-	sameResult(t, tseq, Analyze(prog, tpopts))
-
-	// The pool survives the cut for both schedulers and the concrete engine.
-	epar := explore.Explore(prog, explore.Options{Reduction: explore.Full, Workers: 4,
-		Pool: pool, Sched: sched.DepDriven})
-	eseq := explore.Explore(prog, explore.Options{Reduction: explore.Full})
-	if epar.States != eseq.States || epar.Edges != eseq.Edges {
-		t.Errorf("dep explorer on the shared pool: %d/%d != sequential %d/%d",
-			epar.States, epar.Edges, eseq.States, eseq.Edges)
-	}
-	full := Analyze(prog, Options{Domain: absdom.ConstDomain{}, Workers: 4, Pool: pool})
-	if full.Truncated {
-		t.Error("post-truncation reuse: leveled full run reported truncation")
-	}
-
-	pool.Close()
-	waitForGoroutineBaseline(t, before)
-}
-
-// Private dep-mode pools must tear down on exit — fixpoint and
-// truncation paths alike, at one worker (the two-goroutine pipeline)
-// and several.
-func TestDepPrivatePoolNoGoroutineLeak(t *testing.T) {
-	prog := workloads.Philosophers(3)
-	before := runtime.NumGoroutine()
-	Analyze(prog, Options{Domain: absdom.IntervalDomain{}, Workers: 4, Sched: sched.DepDriven})
-	Analyze(prog, Options{Domain: absdom.IntervalDomain{}, Workers: 1, Sched: sched.DepDriven})
-	Analyze(prog, Options{Domain: absdom.ConstDomain{}, MaxStates: 17, Workers: 4, Sched: sched.DepDriven})
-	waitForGoroutineBaseline(t, before)
 }

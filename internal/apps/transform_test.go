@@ -150,17 +150,11 @@ func TestParallelizeAbstractMatchesConcrete(t *testing.T) {
 
 func TestParallelizeAbstractNeverFinerThanConcrete(t *testing.T) {
 	// Abstract conflicts over-approximate: the abstract schedule can have
-	// fewer or equal arms, never more.
-	for seed := int64(0); seed < 10; seed++ {
-		prog := workloads.Random(seed)
-		// Label the top-level statements of main synthetically? The random
-		// programs are unlabeled, so just skip those without labels.
-		_ = prog
-	}
-	// Deterministic check on a hand-made program where the abstract
-	// analysis is coarser: two statements write different cells of the
-	// SAME allocation site — the field-insensitive abstract heap merges
-	// them, the concrete analysis may too (same site) — both conflict.
+	// fewer or equal arms, never more. A hand-made program where the
+	// abstract analysis is coarser: two statements write different cells
+	// of the SAME allocation site — the field-insensitive abstract heap
+	// merges them, the concrete analysis may too (same site) — both
+	// conflict.
 	prog := lang.MustParse(`
 var o;
 func main() {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"psa/internal/lang"
-	"psa/internal/sched"
 	"psa/internal/sem"
 	"psa/internal/workloads"
 )
@@ -38,15 +37,13 @@ func TestExploreContextPreCancelled(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		sched   sched.Scheduler
 	}{
-		{"sequential", 0, sched.Leveled},
-		{"leveled-4", 4, sched.Leveled},
-		{"dep-4", 4, sched.DepDriven},
+		{"sequential", 0},
+		{"workers-4", 4},
 	} {
 		before := runtime.NumGoroutine()
 		res := ExploreContext(ctx, workloads.Philosophers(3), Options{
-			Reduction: Full, Workers: tc.workers, Sched: tc.sched,
+			Reduction: Full, Workers: tc.workers,
 		})
 		if !res.Cancelled {
 			t.Errorf("%s: Cancelled not set on a pre-cancelled run", tc.name)
@@ -72,17 +69,15 @@ func TestExploreContextCancelMidRun(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		sched   sched.Scheduler
 	}{
-		{"sequential", 0, sched.Leveled},
-		{"leveled-4", 4, sched.Leveled},
-		{"dep-4", 4, sched.DepDriven},
+		{"sequential", 0},
+		{"workers-4", 4},
 	} {
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		sink := &cancelSink{n: 25, cancel: cancel}
 		res := ExploreContext(ctx, workloads.Philosophers(4), Options{
-			Reduction: Full, Workers: tc.workers, Sched: tc.sched, Sink: sink,
+			Reduction: Full, Workers: tc.workers, Sink: sink,
 		})
 		cancel()
 		if !res.Cancelled {
@@ -110,14 +105,12 @@ func TestTruncationNotReportedAsCancellation(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		sched   sched.Scheduler
 	}{
-		{"sequential", 0, sched.Leveled},
-		{"leveled-4", 4, sched.Leveled},
-		{"dep-4", 4, sched.DepDriven},
+		{"sequential", 0},
+		{"workers-4", 4},
 	} {
 		res := ExploreContext(context.Background(), workloads.Philosophers(4), Options{
-			Reduction: Full, MaxConfigs: 200, Workers: tc.workers, Sched: tc.sched,
+			Reduction: Full, MaxConfigs: 200, Workers: tc.workers,
 		})
 		if !res.Truncated {
 			t.Errorf("%s: expected truncation at MaxConfigs=200", tc.name)

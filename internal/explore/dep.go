@@ -8,17 +8,18 @@ import (
 	"psa/internal/sem"
 )
 
-// exploreDep is the dependency-driven variant of ExploreFrom: the same
-// BFS generation as the leveled exploreParallel, run on sched.DepRounds
-// so no level barrier exists. Each frontier entry becomes one task in
-// sequential discovery order. Workers expand tasks (enabledness,
-// stubborn sets, firing, canonical encoding or fingerprinting) as soon
-// as they are published — freely crossing BFS level boundaries — and
-// the serial merge chain replays the sequential explorer's bookkeeping
-// in strict task order. Under the leveled scheduler one deep coarsened
-// run stalls the whole level at the merge barrier; here successors of
-// already-merged entries are being expanded while the straggler is
-// still running.
+// exploreDep is the multi-worker variant of ExploreFrom: the same BFS
+// generation as the sequential loop, run on sched.DepRounds so no level
+// barrier exists. Each frontier entry becomes one task in sequential
+// discovery order. Workers expand tasks (enabledness, stubborn sets,
+// firing, canonical encoding or fingerprinting) as soon as they are
+// published — freely crossing BFS level boundaries — and the serial
+// merge chain replays the sequential explorer's bookkeeping in strict
+// task order. One deep coarsened run therefore never stalls a whole
+// level: successors of already-merged entries are being expanded while
+// the straggler is still running. It is the explorer's only parallel
+// loop: leveled rounds on sched.Rounds measured slower for this engine
+// (DESIGN.md §7).
 //
 // State identity is resolved in a serial "own" chain between expansion
 // and merge: the visited set (in fingerprint mode an fpSet internally
@@ -37,10 +38,9 @@ import (
 // visited_bytes gauge.
 //
 // All Result fields, the sink event stream, and every deterministic
-// metrics counter — including the per-level stats, reconstructed from
-// the same wave countdown the sequential loop uses, and MaxFrontier,
-// which the leveled engine can only approximate per round — are
-// bit-identical to the sequential explorer's at any worker count.
+// metrics counter — including the per-level stats and MaxFrontier,
+// reconstructed from the same wave countdown the sequential loop uses —
+// are bit-identical to the sequential explorer's at any worker count.
 // Cancellation rides dep.RunContext: the merge chain stops before its
 // next task once ctx fires, in-flight expansions drain, and the partial
 // Result is coherent for the merged prefix — the same cut shape as
@@ -89,10 +89,9 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 	})
 
 	expand := func(i int, cur *item, s *depSlot) {
-		e := &s.ex
-		e.enabled = cur.cfg.Enabled()
-		if len(e.enabled) == 0 {
-			e.terminal = true
+		s.enabled = cur.cfg.Enabled()
+		if len(s.enabled) == 0 {
+			s.terminal = true
 			if !ky.exact {
 				// Terminal keys are exact even in fingerprint mode; hoist
 				// the encoding off the serial chains.
@@ -100,36 +99,35 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 			}
 			return
 		}
-		expand := e.enabled
+		expand := s.enabled
 		if opts.Reduction == Stubborn {
-			expand = stubbornSet(cur.cfg, e.enabled, sm)
+			expand = stubbornSet(cur.cfg, s.enabled, sm)
 		}
 		absorbLateCritical := opts.Reduction == Full
 		for _, pi := range expand {
 			step, absorbed := fire(cur.cfg, pi, opts, absorbLateCritical)
-			e.steps = append(e.steps, step)
+			s.steps = append(s.steps, step)
 			if ky.exact {
-				e.keys = append(e.keys, ky.keyOf(step.Config))
+				s.keys = append(s.keys, ky.keyOf(step.Config))
 			} else {
-				e.fps = append(e.fps, ky.fpOf(step.Config))
+				s.fps = append(s.fps, ky.fpOf(step.Config))
 			}
-			e.absorbed = append(e.absorbed, absorbed)
+			s.absorbed = append(s.absorbed, absorbed)
 		}
 	}
 
 	// The own chain: serial, strict task order, sole toucher of the
 	// visited set. Runs concurrently with merges of earlier tasks.
 	own := func(i int, cur *item, s *depSlot) {
-		e := &s.ex
-		if e.terminal {
+		if s.terminal {
 			return
 		}
-		s.fresh = make([]bool, len(e.steps))
-		for j := range e.steps {
+		s.fresh = make([]bool, len(s.steps))
+		for j := range s.steps {
 			if ky.exact {
-				s.fresh[j] = vis.addKey(e.keys[j])
+				s.fresh[j] = vis.addKey(s.keys[j])
 			} else {
-				s.fresh[j] = vis.addFP(e.fps[j])
+				s.fresh[j] = vis.addFP(s.fps[j])
 			}
 		}
 	}
@@ -151,8 +149,7 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 		if size := total - i; size > res.MaxFrontier {
 			res.MaxFrontier = size
 		}
-		e := &s.ex
-		if e.terminal {
+		if s.terminal {
 			tk := cur.key
 			if !ky.exact {
 				tk = s.tkey
@@ -171,16 +168,16 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 			return true
 		}
 		if opts.Sink != nil {
-			reportCoEnabled(cur.cfg, e.enabled, opts.Sink)
+			reportCoEnabled(cur.cfg, s.enabled, opts.Sink)
 		}
 		if opts.Reduction == Stubborn {
-			countStubbornDecision(m, len(e.steps), len(e.enabled))
+			countStubbornDecision(m, len(s.steps), len(s.enabled))
 		}
-		for j, step := range e.steps {
+		for j, step := range s.steps {
 			res.Edges++
 			m.Inc(metrics.TransitionsFired)
 			m.Inc(metrics.StatesGenerated)
-			m.Add(metrics.CoarsenedSteps, int64(e.absorbed[j]))
+			m.Add(metrics.CoarsenedSteps, int64(s.absorbed[j]))
 			if opts.Sink != nil {
 				opts.Sink.Transition(step)
 			}
@@ -190,7 +187,7 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 			}
 			var k sem.Key
 			if ky.exact {
-				k = e.keys[j]
+				k = s.keys[j]
 			}
 			fresh := s.fresh[j]
 			if res.Graph != nil {
@@ -227,11 +224,19 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 	return res
 }
 
-// depSlot is one task's precomputed results: the expansion (shared shape
-// with the leveled engine), the lazily-exact terminal key in fingerprint
-// mode, and the own chain's freshness verdict per fired transition.
+// depSlot is one task's precomputed results: the enabled set, the fired
+// steps with their state identities (keys in exact mode, fingerprints
+// otherwise), the coarsened micro-step counts, the lazily-exact terminal
+// key in fingerprint mode, and the own chain's freshness verdict per
+// fired transition — everything the serial merge needs to replay the
+// sequential explorer's bookkeeping.
 type depSlot struct {
-	ex    expansion
-	tkey  sem.Key
-	fresh []bool
+	terminal bool
+	enabled  []int
+	steps    []*sem.StepResult
+	keys     []sem.Key         // exact mode
+	fps      []sem.Fingerprint // fingerprint mode
+	absorbed []int             // coarsened micro-steps per fired transition
+	tkey     sem.Key
+	fresh    []bool
 }

@@ -2,20 +2,82 @@ package explore
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"psa/internal/metrics"
-	"psa/internal/sched"
+	"psa/internal/progen"
 	"psa/internal/sem"
 	"psa/internal/workloads"
 )
 
-// The dependency-driven explorer must reproduce the sequential
-// explorer's numbers exactly — states, edges, terminal sets, graph
-// shape, deterministic counters, and (unlike the leveled engine, which
-// only sees whole levels) the exact MaxFrontier — at 1, 4, 8, and
-// GOMAXPROCS workers. Workers=1 is a genuine two-goroutine pipeline
-// here, not a sequential short-circuit.
+// parallelWorkers are the worker counts every differential case of the
+// parallel (dependency-driven) explorer runs at.
+var parallelWorkers = []int{2, 4, 8, runtime.GOMAXPROCS(0)}
+
+// matchesSequential runs the configuration mk builds under opts once
+// sequentially and once at each worker count, and asserts the parallel
+// run is indistinguishable from the sequential one: every Result count
+// (MaxFrontier included), the terminal and error sets, the truncation
+// flag, graph shape, the ordered sink event stream, every deterministic
+// metrics counter, and the per-level stats. opts must not set Workers,
+// Sink, or Metrics.
+func matchesSequential(t *testing.T, mk func() *sem.Config, opts Options, workers ...int) {
+	t.Helper()
+	run := func(w int) (*Result, *orderedSink, *metrics.Snapshot) {
+		o := opts
+		o.Workers = w
+		o.Sink = &orderedSink{}
+		m := metrics.New()
+		o.Metrics = m
+		res := ExploreFrom(mk(), o)
+		return res, o.Sink.(*orderedSink), m.Snapshot()
+	}
+	seq, seqSink, seqSnap := run(0)
+	for _, w := range workers {
+		par, parSink, parSnap := run(w)
+		if par.States != seq.States || par.Edges != seq.Edges || par.MaxFrontier != seq.MaxFrontier {
+			t.Errorf("workers=%d: states/edges/maxFrontier %d/%d/%d != sequential %d/%d/%d", w,
+				par.States, par.Edges, par.MaxFrontier, seq.States, seq.Edges, seq.MaxFrontier)
+		}
+		if par.Truncated != seq.Truncated || par.Cancelled {
+			t.Errorf("workers=%d: truncated=%v cancelled=%v, sequential truncated=%v",
+				w, par.Truncated, par.Cancelled, seq.Truncated)
+		}
+		if !reflect.DeepEqual(par.TerminalStoreSet(), seq.TerminalStoreSet()) {
+			t.Errorf("workers=%d: terminal sets differ", w)
+		}
+		if len(par.Errors) != len(seq.Errors) {
+			t.Errorf("workers=%d: %d error states, sequential %d", w, len(par.Errors), len(seq.Errors))
+		}
+		if !reflect.DeepEqual(par.Events, seq.Events) || !reflect.DeepEqual(par.Allocs, seq.Allocs) {
+			t.Errorf("workers=%d: collected events differ", w)
+		}
+		if !reflect.DeepEqual(parSink.events, seqSink.events) {
+			t.Errorf("workers=%d: sink stream diverges from sequential (%d vs %d events)",
+				w, len(parSink.events), len(seqSink.events))
+		}
+		if got, want := parSnap.DeterministicCounters(), seqSnap.DeterministicCounters(); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: deterministic counters differ:\n  parallel   %v\n  sequential %v", w, got, want)
+		}
+		if got, want := stripNanos(parSnap.Levels), stripNanos(seqSnap.Levels); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: level stats differ\n got %+v\nwant %+v", w, got, want)
+		}
+		if opts.KeepGraph {
+			if len(par.Graph.Nodes) != par.States {
+				t.Errorf("workers=%d: graph inconsistent", w)
+			}
+			if got, want := len(par.Graph.Divergent()), len(seq.Graph.Divergent()); got != want {
+				t.Errorf("workers=%d: divergent: parallel %d != sequential %d", w, got, want)
+			}
+		}
+	}
+}
+
+// The parallel explorer must reproduce the sequential explorer's numbers
+// exactly — states, edges, MaxFrontier, terminal sets, graph shape, sink
+// stream, deterministic counters, and per-level stats — at every worker
+// count.
 func TestDepMatchesSequential(t *testing.T) {
 	progs := map[string]Options{
 		"fig2-full":          {Reduction: Full},
@@ -37,81 +99,48 @@ func TestDepMatchesSequential(t *testing.T) {
 	}
 	for name, opts := range progs {
 		t.Run(name, func(t *testing.T) {
-			mseq := metrics.New()
-			sopts := opts
-			sopts.Metrics = mseq
-			seq := ExploreFrom(sources[name](), sopts)
-			for _, workers := range []int{1, 4, 8, -1} {
-				mdep := metrics.New()
-				dopts := opts
-				dopts.Workers = workers
-				dopts.Sched = sched.DepDriven
-				dopts.Metrics = mdep
-				dres := ExploreFrom(sources[name](), dopts)
-				if dres.States != seq.States || dres.Edges != seq.Edges {
-					t.Errorf("workers=%d: dep %d/%d != sequential %d/%d",
-						workers, dres.States, dres.Edges, seq.States, seq.Edges)
-				}
-				if dres.MaxFrontier != seq.MaxFrontier {
-					t.Errorf("workers=%d: maxFrontier: dep %d != sequential %d",
-						workers, dres.MaxFrontier, seq.MaxFrontier)
-				}
-				if !reflect.DeepEqual(dres.TerminalStoreSet(), seq.TerminalStoreSet()) {
-					t.Errorf("workers=%d: terminal sets differ", workers)
-				}
-				got := mdep.Snapshot().DeterministicCounters()
-				want := mseq.Snapshot().DeterministicCounters()
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("workers=%d: deterministic counters differ:\n  dep        %v\n  sequential %v",
-						workers, got, want)
-				}
-				if opts.KeepGraph {
-					if len(dres.Graph.Nodes) != dres.States {
-						t.Errorf("workers=%d: dep graph inconsistent", workers)
-					}
-					if got, want := len(dres.Graph.Divergent()), len(seq.Graph.Divergent()); got != want {
-						t.Errorf("workers=%d: divergent: dep %d != sequential %d", workers, got, want)
-					}
-				}
-			}
+			matchesSequential(t, sources[name], opts, parallelWorkers...)
 		})
 	}
 }
 
+// Random programs (loops, nested cobegin, heap traffic) through the same
+// differential check.
 func TestDepCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus in -short mode")
 	}
 	for seed := int64(0); seed < 25; seed++ {
-		prog := workloads.Random(seed)
-		seq := Explore(prog, Options{Reduction: Full, MaxConfigs: 1 << 17})
-		if seq.Truncated {
-			continue
+		prog, _, err := progen.Generate(seed, progen.CorpusProfile())
+		if err != nil {
+			t.Fatal(err)
 		}
-		dres := Explore(prog, Options{Reduction: Full, MaxConfigs: 1 << 17, Workers: 3, Sched: sched.DepDriven})
-		if dres.States != seq.States || dres.Edges != seq.Edges || dres.MaxFrontier != seq.MaxFrontier {
-			t.Errorf("seed %d: dep %d/%d/%d != sequential %d/%d/%d", seed,
-				dres.States, dres.Edges, dres.MaxFrontier, seq.States, seq.Edges, seq.MaxFrontier)
-		}
-		if !reflect.DeepEqual(dres.TerminalStoreSet(), seq.TerminalStoreSet()) {
-			t.Errorf("seed %d: terminal sets differ", seed)
+		mk := func() *sem.Config { return sem.NewConfig(prog) }
+		matchesSequential(t, mk, Options{Reduction: Full, MaxConfigs: 1 << 17}, parallelWorkers...)
+		if t.Failed() {
+			t.Fatalf("seed %d diverged", seed)
 		}
 	}
 }
 
-// The dependency-driven merge chain must replay the sequential sink
-// stream verbatim, not merely the same multiset (orderedSink is the
-// event-for-event recorder from metrics_test.go).
+// The merge chain must replay the sequential sink stream verbatim, not
+// merely the same multiset (orderedSink is the event-for-event recorder
+// from metrics_test.go), with events collected.
 func TestDepSinkStreamIsSequential(t *testing.T) {
 	mk := func() *sem.Config { return sem.NewConfig(workloads.Philosophers(3)) }
-	var want orderedSink
-	ExploreFrom(mk(), Options{Reduction: Full, Sink: &want})
-	for _, workers := range []int{1, 4} {
-		var got orderedSink
-		ExploreFrom(mk(), Options{Reduction: Full, Workers: workers, Sched: sched.DepDriven, Sink: &got})
-		if !reflect.DeepEqual(got.events, want.events) {
-			t.Errorf("workers=%d: dep sink stream diverges from sequential (%d vs %d events)",
-				workers, len(got.events), len(want.events))
+	matchesSequential(t, mk, Options{Reduction: Full, CollectEvents: true}, parallelWorkers...)
+}
+
+// The parallel sink sees every transition and every co-enabled conflict.
+func TestParallelSinkSeesEverything(t *testing.T) {
+	for _, workers := range parallelWorkers {
+		sink := &recordingSink{}
+		res := Explore(workloads.Fig2(), Options{Reduction: Full, Workers: workers, Sink: sink})
+		if sink.transitions != res.Edges {
+			t.Errorf("workers=%d: sink saw %d transitions, explorer counted %d", workers, sink.transitions, res.Edges)
+		}
+		if len(sink.conflicts) == 0 {
+			t.Errorf("workers=%d: co-enabled conflicts not reported in parallel mode", workers)
 		}
 	}
 }
@@ -121,55 +150,51 @@ func TestDepSinkStreamIsSequential(t *testing.T) {
 // terminals, errors — matches. The own chain's over-insertions past the
 // cut must never leak into the Result.
 func TestDepTruncationMatchesSequential(t *testing.T) {
+	mk := func() *sem.Config { return sem.NewConfig(workloads.Philosophers(4)) }
 	for _, max := range []int{50, 200, 1000} {
-		seq := Explore(workloads.Philosophers(4), Options{Reduction: Full, MaxConfigs: max})
-		if !seq.Truncated {
+		if !ExploreFrom(mk(), Options{Reduction: Full, MaxConfigs: max}).Truncated {
 			t.Fatalf("MaxConfigs=%d did not truncate", max)
 		}
-		for _, workers := range []int{1, 4} {
-			dres := Explore(workloads.Philosophers(4),
-				Options{Reduction: Full, MaxConfigs: max, Workers: workers, Sched: sched.DepDriven})
-			if !dres.Truncated {
-				t.Errorf("max=%d workers=%d: dep run not truncated", max, workers)
+		matchesSequential(t, mk, Options{Reduction: Full, MaxConfigs: max}, parallelWorkers...)
+	}
+}
+
+// A violation trace discovered by the parallel explorer must replay
+// step-for-step on the concrete semantics.
+func TestDepTraceReplay(t *testing.T) {
+	prog := workloads.PetersonBroken()
+	for _, workers := range parallelWorkers {
+		res := Explore(prog, Options{Reduction: Full, KeepGraph: true, Workers: workers})
+		if len(res.Errors) == 0 {
+			t.Fatalf("workers=%d: violation expected", workers)
+		}
+		key := res.Errors[0].Encode()
+		trace, ok := res.Graph.TraceTo(key)
+		if !ok {
+			t.Fatalf("workers=%d: no trace", workers)
+		}
+		c := sem.NewConfig(prog)
+		for _, step := range trace {
+			idx := -1
+			for j, p := range c.Procs {
+				if p.Path == step.Proc {
+					idx = j
+				}
 			}
-			if dres.States != seq.States || dres.Edges != seq.Edges {
-				t.Errorf("max=%d workers=%d: dep %d/%d != sequential %d/%d",
-					max, workers, dres.States, dres.Edges, seq.States, seq.Edges)
+			if idx < 0 {
+				t.Fatalf("workers=%d: replay lost a process", workers)
 			}
-			if !reflect.DeepEqual(dres.TerminalStoreSet(), seq.TerminalStoreSet()) {
-				t.Errorf("max=%d workers=%d: truncated terminal sets differ", max, workers)
-			}
+			c = c.Step(idx).Config
+		}
+		if c.Encode() != key {
+			t.Errorf("workers=%d: parallel-discovered trace does not replay to its state", workers)
 		}
 	}
 }
 
-// A violation trace discovered by the dependency-driven engine must
-// replay step-for-step on the concrete semantics.
-func TestDepTraceReplay(t *testing.T) {
-	prog := workloads.PetersonBroken()
-	res := Explore(prog, Options{Reduction: Full, KeepGraph: true, Workers: 4, Sched: sched.DepDriven})
-	if len(res.Errors) == 0 {
-		t.Fatal("violation expected")
-	}
-	key := res.Errors[0].Encode()
-	trace, ok := res.Graph.TraceTo(key)
-	if !ok {
-		t.Fatal("no trace")
-	}
-	c := sem.NewConfig(prog)
-	for _, step := range trace {
-		idx := -1
-		for j, p := range c.Procs {
-			if p.Path == step.Proc {
-				idx = j
-			}
-		}
-		if idx < 0 {
-			t.Fatal("replay lost a process")
-		}
-		c = c.Step(idx).Config
-	}
-	if c.Encode() != key {
-		t.Error("dep-discovered trace does not replay to its state")
-	}
+// A negative worker count means GOMAXPROCS workers and is held to the
+// same differential check.
+func TestNegativeWorkersMeansAllCores(t *testing.T) {
+	mk := func() *sem.Config { return sem.NewConfig(workloads.Fig2()) }
+	matchesSequential(t, mk, Options{Reduction: Full}, -1)
 }

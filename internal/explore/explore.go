@@ -82,23 +82,12 @@ type Options struct {
 	// fuse with probability ~n²/2¹²⁹ — see sem.Fingerprint. KeepGraph
 	// implies exact keys, since graph nodes are addressed by key.
 	ExactKeys bool
-	// Workers > 1 explores with that many goroutines (level-synchronized
-	// BFS); 0 or 1 is sequential and a negative count uses GOMAXPROCS.
-	// Counts, result sets, discovery parents, frontier order, and the
-	// sink event stream are all identical to the sequential explorer's.
+	// Workers > 1 explores with that many goroutines on the
+	// dependency-driven pipeline (dep.go); 0 or 1 is sequential and a
+	// negative count uses GOMAXPROCS. Counts, result sets, discovery
+	// parents, MaxFrontier, per-level stats, and the sink event stream
+	// are all identical to the sequential explorer's.
 	Workers int
-	// Sched selects the parallel execution strategy: sched.Leveled (the
-	// zero value) runs level-synchronized rounds with a barrier per BFS
-	// level (parallel.go); sched.DepDriven runs the dependency-driven
-	// pipeline (dep.go), which expands and merges across level
-	// boundaries with no barrier. Execution-only, like Workers and Pool:
-	// results, sink streams, and deterministic counters are identical
-	// under either scheduler, so the pipeline layer excludes it from
-	// cache keys. Ignored on sequential runs except that DepDriven with
-	// Workers == 1 runs the dependency-driven engine on a single worker
-	// (a genuine two-goroutine pipeline), where Leveled with Workers == 1
-	// stays sequential.
-	Sched sched.Scheduler
 	// Pool, when non-nil, is the shared scheduler pool (internal/sched)
 	// parallel exploration runs on: its worker count governs scheduling,
 	// the caller keeps ownership (the explorer never closes it), and
@@ -193,11 +182,8 @@ func ExploreFromContext(ctx context.Context, c0 *sem.Config, opts Options) *Resu
 	if opts.MaxConfigs <= 0 {
 		opts.MaxConfigs = 1 << 20
 	}
-	if opts.Workers > 1 || opts.Workers < 0 || (opts.Sched == sched.DepDriven && opts.Workers == 1) {
-		if opts.Sched == sched.DepDriven {
-			return exploreDep(ctx, c0, opts)
-		}
-		return exploreParallel(ctx, c0, opts, opts.Workers)
+	if opts.Workers > 1 || opts.Workers < 0 {
+		return exploreDep(ctx, c0, opts)
 	}
 	// done is nil for a never-cancellable context, keeping the hot loop's
 	// cancellation probe a single nil check.
@@ -412,7 +398,7 @@ func newKeyer(opts Options) keyer {
 
 // visited is the dedup set behind both explorers, in either key mode.
 // It is only ever touched from serial code (the sequential loop or the
-// parallel explorer's per-level merge), so it needs no locking.
+// parallel explorer's serial own chain), so it needs no locking.
 type visited struct {
 	keys     map[sem.Key]bool
 	keyBytes int64

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"psa/internal/lang"
+	"psa/internal/progen"
 	"psa/internal/sem"
 	"psa/internal/workloads"
 )
@@ -111,22 +112,19 @@ func TestProducerConsumer(t *testing.T) {
 	}
 }
 
-// Differential property: on random loop-free programs every reduction
-// combination preserves the result-configuration set exactly. This is the
-// paper's central soundness claim ("producing exactly the same set of
+// Differential property: on random programs every reduction combination
+// preserves the result-configuration set exactly. This is the paper's
+// central soundness claim ("producing exactly the same set of
 // result-configurations").
 func TestDifferentialReductions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential corpus in -short mode")
 	}
-	progFor := func(seed int64) *lang.Program {
-		if seed >= 60 {
-			return workloads.RandomRich(seed - 60)
-		}
-		return workloads.Random(seed)
-	}
 	for seed := int64(0); seed < 75; seed++ {
-		prog := progFor(seed)
+		prog, _, err := progen.Generate(seed, progen.CorpusProfile())
+		if err != nil {
+			t.Fatal(err)
+		}
 		full := Explore(prog, Options{Reduction: Full, MaxConfigs: 1 << 18})
 		if full.Truncated {
 			continue

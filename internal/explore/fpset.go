@@ -11,8 +11,9 @@ import "psa/internal/sem"
 // collision-probability argument).
 //
 // Deduplication runs only in the explorers' serial sections — the
-// parallel explorer consults the visited set exclusively during its
-// deterministic per-level merge — so the set needs no locking. Sharding
+// parallel explorer consults the visited set exclusively from its
+// serial own chain, in sequential task order — so the set needs no
+// locking. Sharding
 // by the fingerprint's top bits keeps individual probe arrays small, so
 // a resize rehashes 1/16 of the set instead of all of it.
 type fpSet struct {

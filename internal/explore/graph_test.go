@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"psa/internal/lang"
+	"psa/internal/progen"
 	"psa/internal/sem"
 	"psa/internal/workloads"
 )
@@ -188,7 +189,10 @@ func TestTraceReplayCorpus(t *testing.T) {
 		t.Skip("corpus replay in -short mode")
 	}
 	for seed := int64(0); seed < 20; seed++ {
-		prog := workloads.Random(seed)
+		prog, _, err := progen.Generate(seed, progen.CorpusProfile())
+		if err != nil {
+			t.Fatal(err)
+		}
 		res := Explore(prog, Options{Reduction: Full, KeepGraph: true, MaxConfigs: 1 << 16})
 		if res.Truncated {
 			continue

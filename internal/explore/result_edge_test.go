@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"psa/internal/lang"
-	"psa/internal/sched"
 	"psa/internal/workloads"
 )
 
@@ -61,10 +60,9 @@ func TestOutcomeSetUnknownLabels(t *testing.T) {
 // A MaxConfigs-truncated run must flag itself, and its partial terminal
 // artifacts must stay coherent: a subset of the full run's sets, never
 // phantom outcomes the full space does not contain. The same coherence
-// must hold under both parallel schedulers — in the dependency-driven
-// engine the own chain runs ahead of the merge and inserts identities
-// past the cut, so this pins that the over-insertion never surfaces as
-// Result artifacts.
+// must hold for the parallel explorer — its own chain runs ahead of the
+// merge and inserts identities past the cut, so this pins that the
+// over-insertion never surfaces as Result artifacts.
 func TestTruncatedRunArtifacts(t *testing.T) {
 	prog := workloads.Philosophers(3)
 	full := Explore(prog, Options{Reduction: Full})
@@ -83,8 +81,7 @@ func TestTruncatedRunArtifacts(t *testing.T) {
 	seqCut := Explore(prog, Options{Reduction: Full, MaxConfigs: 50})
 	cuts := map[string]*Result{
 		"sequential": seqCut,
-		"leveled":    Explore(prog, Options{Reduction: Full, MaxConfigs: 50, Workers: 4}),
-		"dep":        Explore(prog, Options{Reduction: Full, MaxConfigs: 50, Workers: 4, Sched: sched.DepDriven}),
+		"workers-4":  Explore(prog, Options{Reduction: Full, MaxConfigs: 50, Workers: 4}),
 	}
 	for name, cut := range cuts {
 		if !cut.Truncated {

@@ -68,13 +68,14 @@ const (
 	// counter set the differential tests compare.
 	EncPoolHit
 	EncPoolMiss
-	// FrontierSteals counts work grains the parallel explorer's workers
-	// claimed outside their home stride (dynamic load balancing). Also
-	// perf-only and scheduling-dependent.
+	// FrontierSteals belonged to the leveled parallel explorer, which no
+	// longer exists: the explorer's dependency-driven executor has no
+	// steal cursor, so nothing emits it and it always reads 0. It stays
+	// defined (perf-only) because benchmark reports still read it.
 	FrontierSteals
-	// AbsSteals is FrontierSteals for the parallel abstract fixpoint
-	// engine: expansion grains claimed outside a worker's home stride.
-	// Perf-only.
+	// AbsSteals counts expansion grains the parallel abstract fixpoint
+	// engine's workers claimed outside their home stride (dynamic load
+	// balancing). Perf-only and scheduling-dependent.
 	AbsSteals
 	// AbsStaleRecomputes counts worklist entries the parallel abstract
 	// engine had to re-expand serially because a join earlier in the same
@@ -94,12 +95,15 @@ const (
 	// hits depend on call order, not on the explored space.
 	AnalysisCacheHit
 	AnalysisCacheMiss
-	// DepMergeWaits counts the times the dependency-driven scheduler's
-	// merger blocked on the head task's expansion (the pipelined
-	// analogue of a level-barrier stall) during concrete exploration;
-	// AbsDepMergeWaits is the abstract engine's counterpart. Both depend
-	// on scheduling and are perf-only.
+	// DepMergeWaits counts the times the parallel explorer's dependency-
+	// driven merger blocked on the head task's expansion (the pipelined
+	// analogue of a level-barrier stall). Scheduling-dependent and
+	// perf-only.
 	DepMergeWaits
+	// AbsDepMergeWaits belonged to the abstract engine's dependency-driven
+	// loop, which no longer exists. Nothing emits it, so it always reads
+	// 0; it stays defined (perf-only) because benchmark reports still
+	// read it.
 	AbsDepMergeWaits
 	// SummaryHit / SummaryMiss / SummaryInvalidated belonged to the
 	// procedure-summary cache the abstract engine no longer has. No code
@@ -193,12 +197,11 @@ const (
 	// abstract fixpoint engine expanded in the current round; its peak
 	// over a run is the abstract analogue of MaxFrontier.
 	AbsFrontierWidth
-	// DepReadyDepth / AbsDepReadyDepth record the peak published-but-
-	// unclaimed backlog the dependency-driven scheduler's workers saw
-	// when claiming (concrete / abstract engine). Scheduling-dependent,
-	// like every gauge outside the determinism comparisons.
+	// DepReadyDepth records the peak published-but-unclaimed backlog the
+	// parallel explorer's dependency-driven workers saw when claiming.
+	// Scheduling-dependent, like every gauge outside the determinism
+	// comparisons.
 	DepReadyDepth
-	AbsDepReadyDepth
 	numGauges
 )
 
@@ -210,7 +213,6 @@ var gaugeNames = [numGauges]string{
 	VisitedBytes:     "visited_bytes",
 	AbsFrontierWidth: "abs_frontier_width",
 	DepReadyDepth:    "dep_ready_depth",
-	AbsDepReadyDepth: "abs_dep_ready_depth",
 }
 
 // String returns the snake_case snapshot key of the gauge.

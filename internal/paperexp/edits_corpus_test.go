@@ -11,7 +11,6 @@ import (
 	"psa/internal/lang"
 	"psa/internal/metrics"
 	"psa/internal/pipeline"
-	"psa/internal/sched"
 )
 
 // loadEditChains reads the hand-written edit chains under
@@ -48,8 +47,8 @@ func loadEditChains(t *testing.T) map[string][]string {
 
 // TestEditCorpusIncremental pins the incremental layer's bit-identity
 // contract over the checked-in edit chains: feeding each chain through a
-// persistent pipeline.Incremental session — sequential, leveled ×4, and
-// dependency-driven ×4 — must reproduce, at every step, the exact
+// persistent pipeline.Incremental session — sequential and at 4
+// workers — must reproduce, at every step, the exact
 // Result digest and deterministic counter set of a from-scratch
 // analysis of that version.
 func TestEditCorpusIncremental(t *testing.T) {
@@ -62,8 +61,7 @@ func TestEditCorpusIncremental(t *testing.T) {
 		ro   pipeline.RunOptions
 	}{
 		{"seq", pipeline.RunOptions{}},
-		{"leveled4", pipeline.RunOptions{Workers: 4}},
-		{"dep4", pipeline.RunOptions{Workers: 4, Sched: sched.DepDriven}},
+		{"workers4", pipeline.RunOptions{Workers: 4}},
 	}
 	names := make([]string, 0, len(chains))
 	for name := range chains {

@@ -28,7 +28,7 @@ import (
 // Bit-identity contract: for every program version, AnalyzeEdit's result
 // — Result fields, invariants, footprints, and the deterministic counter
 // set — equals a from-scratch abssem.Analyze of that version under the
-// same options, at any worker count and under either scheduler. Enforced
+// same options, at any worker count. Enforced
 // by the pipeline tests, the testdata/edits corpus (paperexp), and
 // psasoak oracle 5's random edit sequences.
 //
@@ -54,7 +54,7 @@ func NewIncremental(ro RunOptions, adjust func(*abssem.Options)) *Incremental {
 
 // Configure replaces the session's run options and returns the session
 // for chaining. Intended for execution-only reconfiguration (workers,
-// pool, scheduler, metrics), which never disturbs the fast path — the
+// pool, metrics), which never disturbs the fast path — the
 // deterministic counters the session replays are identical at any worker
 // count by the engines' contract. A result-relevant change (one that
 // alters AbstractKey) should open a new session instead (core.Analyzer

@@ -21,9 +21,8 @@
 //
 // RunOptions.Key and AbstractKey give the canonical cache keys the
 // core.Analyzer result caches use: they cover exactly the fields that can
-// change results and exclude the execution-only fields (Workers, Sched,
-// Pool, Metrics) that the engines' determinism contract guarantees never
-// do.
+// change results and exclude the execution-only fields (Workers, Pool,
+// Metrics) that the engines' determinism contract guarantees never do.
 //
 // # Key stability contract
 //
@@ -75,13 +74,10 @@ type RunOptions struct {
 	// sequential and a negative count uses GOMAXPROCS. Results and
 	// deterministic counters are identical at any count.
 	Workers int
-	// Sched selects the parallel execution strategy for both engines:
-	// sched.Leveled (the zero value) runs barrier-per-round fan-out/
-	// serial-merge; sched.DepDriven runs the dependency-driven pipeline
-	// that merges each task as soon as its predecessors in sequential
-	// discovery order have merged. Execution-only like Workers and Pool —
-	// results and deterministic counters are identical under either
-	// scheduler — so Key/AbstractKey exclude it.
+	// Sched is ignored. Each engine has exactly one parallel executor
+	// (the explorer the dependency-driven pipeline, the abstract engine
+	// leveled rounds — DESIGN.md §7), so there is nothing to select; the
+	// field stays only so existing callers keep compiling.
 	Sched sched.Scheduler
 	// Pool is the shared scheduler pool parallel runs execute on; the
 	// caller keeps ownership. Nil lets each parallel run spin a private
@@ -106,7 +102,6 @@ func (o RunOptions) ExploreOptions() explore.Options {
 		Reduction:  o.Reduction,
 		Coarsen:    o.Coarsen,
 		Workers:    o.Workers,
-		Sched:      o.Sched,
 		Pool:       o.Pool,
 		MaxConfigs: o.MaxConfigs,
 		ExactKeys:  o.ExactKeys,
@@ -121,7 +116,6 @@ func (o RunOptions) ExploreOptions() explore.Options {
 func (o RunOptions) AbstractOptions() abssem.Options {
 	return abssem.Options{
 		Workers:   o.Workers,
-		Sched:     o.Sched,
 		Pool:      o.Pool,
 		MaxStates: o.MaxConfigs,
 		Metrics:   o.Metrics,
@@ -149,8 +143,8 @@ func (o RunOptions) Key() string {
 
 // AbstractKey is the canonical cache key of an abstract run: the
 // normalized result-relevant fields of abssem.Options, excluding the
-// execution-only Workers/Sched/Pool/Metrics (bit-identical at any
-// worker count and under either scheduler by the engine's contract). Options that normalize equal — e.g.
+// execution-only Workers/Pool/Metrics (bit-identical at any worker
+// count by the engine's contract). Options that normalize equal — e.g.
 // KBirth 0 and KBirth 2 — share one key, fixing the historical cache
 // collision where Abstract() cached defaults forever while AbstractWith
 // never cached at all.

@@ -158,19 +158,18 @@ func TestRunOptionsMapping(t *testing.T) {
 		Reduction:  explore.Stubborn,
 		Coarsen:    true,
 		Workers:    3,
-		Sched:      sched.DepDriven,
 		Pool:       pool,
 		MaxConfigs: 1234,
 		ExactKeys:  true,
 		Metrics:    m,
 	}
 	eo := ro.ExploreOptions()
-	if eo.Reduction != explore.Stubborn || !eo.Coarsen || eo.Workers != 3 || eo.Sched != sched.DepDriven ||
+	if eo.Reduction != explore.Stubborn || !eo.Coarsen || eo.Workers != 3 ||
 		eo.Pool != pool || eo.MaxConfigs != 1234 || !eo.ExactKeys || eo.Metrics != m {
 		t.Errorf("ExploreOptions mapping lost a field: %+v", eo)
 	}
 	ao := ro.AbstractOptions()
-	if ao.Workers != 3 || ao.Sched != sched.DepDriven || ao.Pool != pool || ao.MaxStates != 1234 || ao.Metrics != m {
+	if ao.Workers != 3 || ao.Pool != pool || ao.MaxStates != 1234 || ao.Metrics != m {
 		t.Errorf("AbstractOptions mapping lost a field: %+v", ao)
 	}
 	st := ro.Strategy(explore.Full, false)
@@ -180,16 +179,14 @@ func TestRunOptionsMapping(t *testing.T) {
 }
 
 // Cache keys must cover result-relevant fields and ignore execution-only
-// ones (Workers/Sched/Pool/Metrics — bit-identical by the engines'
-// contract).
+// ones (Workers/Pool/Metrics — bit-identical by the engines' contract).
 func TestCacheKeys(t *testing.T) {
 	base := RunOptions{Reduction: explore.Stubborn, Coarsen: true, MaxConfigs: 99}
 	same := base
 	same.Workers = 8
-	same.Sched = sched.DepDriven
 	same.Metrics = metrics.New()
 	if base.Key() != same.Key() {
-		t.Errorf("Key must ignore Workers/Sched/Metrics: %q vs %q", base.Key(), same.Key())
+		t.Errorf("Key must ignore Workers/Metrics: %q vs %q", base.Key(), same.Key())
 	}
 	diff := base
 	diff.ExactKeys = true
@@ -200,8 +197,8 @@ func TestCacheKeys(t *testing.T) {
 	// Abstract keys normalize: zero limits equal their defaults, negative
 	// limits equal the explicit boundary 0, and the execution-only fields
 	// drop out.
-	if AbstractKey(abssem.Options{}) != AbstractKey(abssem.Options{KBirth: 2, RecLimit: 3, WidenAfter: 4, Workers: 4, Sched: sched.DepDriven}) {
-		t.Error("AbstractKey must normalize defaults and ignore Workers/Sched")
+	if AbstractKey(abssem.Options{}) != AbstractKey(abssem.Options{KBirth: 2, RecLimit: 3, WidenAfter: 4, Workers: 4}) {
+		t.Error("AbstractKey must normalize defaults and ignore Workers")
 	}
 	if AbstractKey(abssem.Options{KBirth: -1}) == AbstractKey(abssem.Options{}) {
 		t.Error("AbstractKey must distinguish KBirth 0 (negative request) from the default")

@@ -132,6 +132,18 @@ func SmallProfile() Profile {
 	return p
 }
 
+// CorpusProfile is SmallProfile with allocation and a second cobegin per
+// body: the envelope of the engines' fixed-seed differential test
+// corpora. It keeps loops, nested cobegin, and heap traffic while full
+// concrete exploration stays within a few thousand configurations per
+// program.
+func CorpusProfile() Profile {
+	p := SmallProfile()
+	p.Alloc = true
+	p.CobeginBudget = 2
+	return p
+}
+
 // BigProfile stretches every knob (nightly soak): deeper cobegin nesting,
 // recursion at the activation limit, more allocation sites.
 func BigProfile() Profile {

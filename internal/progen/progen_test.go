@@ -35,7 +35,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // round-trip: parse(print(p)) prints identically. This is the property
 // that makes generated programs valid seeds for the parser fuzz targets.
 func TestGeneratedProgramsRoundTrip(t *testing.T) {
-	profiles := []Profile{DefaultProfile(), SmallProfile(), BigProfile()}
+	profiles := []Profile{DefaultProfile(), SmallProfile(), CorpusProfile(), BigProfile()}
 	n := propertySeeds(t)
 	for _, prof := range profiles {
 		for seed := int64(0); seed < n; seed++ {

@@ -5,43 +5,19 @@ import (
 	"sync"
 )
 
-// Scheduler selects which deterministic parallel protocol an engine runs
-// on. Both protocols produce bit-identical results and deterministic
-// counters at any worker count; they differ only in how much of the
-// serial bookkeeping overlaps the parallel expansion work, so the choice
-// is an execution knob, never part of a result cache key.
+// Scheduler names the two deterministic parallel protocols this package
+// provides. No engine selects between them any more — the explorer runs
+// DepRounds and the abstract engine runs Rounds (DESIGN.md §7) — and
+// the type stays only because benchmark code still passes it through
+// pipeline.RunOptions.Sched, which is ignored.
 type Scheduler uint8
 
 const (
-	// Leveled is the fan-out/serial-merge rounds protocol (Rounds): the
-	// whole frontier expands behind a barrier, then merges serially.
+	// Leveled is the fan-out/serial-merge rounds protocol (Rounds).
 	Leveled Scheduler = iota
-	// DepDriven is the dependency-driven pipelined protocol (DepRounds):
-	// tasks are keyed by sequential discovery order and a task's merge
-	// depends only on its own expansion and its predecessor's merge, so
-	// merging overlaps expansion with no level barrier.
+	// DepDriven is the dependency-driven pipelined protocol (DepRounds).
 	DepDriven
 )
-
-// String renders the CLI spelling of the scheduler.
-func (s Scheduler) String() string {
-	if s == DepDriven {
-		return "dep"
-	}
-	return "leveled"
-}
-
-// ParseScheduler maps the CLI spellings ("leveled", "dep") to a
-// Scheduler; ok is false for anything else.
-func ParseScheduler(s string) (Scheduler, bool) {
-	switch s {
-	case "leveled", "":
-		return Leveled, true
-	case "dep":
-		return DepDriven, true
-	}
-	return 0, false
-}
 
 // MinDepGrain is the per-shard floor of DepGrainSize. The dependency-
 // driven executor consumes the frontier incrementally: each claim sees

@@ -287,25 +287,3 @@ func TestDepGrainSize(t *testing.T) {
 		}
 	}
 }
-
-func TestParseScheduler(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Scheduler
-		ok   bool
-	}{
-		{"leveled", Leveled, true},
-		{"", Leveled, true},
-		{"dep", DepDriven, true},
-		{"banana", 0, false},
-	}
-	for _, c := range cases {
-		got, ok := ParseScheduler(c.in)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("ParseScheduler(%q) = %v,%v want %v,%v", c.in, got, ok, c.want, c.ok)
-		}
-	}
-	if Leveled.String() != "leveled" || DepDriven.String() != "dep" {
-		t.Errorf("Scheduler strings: %q %q", Leveled, DepDriven)
-	}
-}

@@ -1,8 +1,6 @@
 // Package sched is the deterministic parallel runtime shared by the
-// framework's engines: the concrete explorer (internal/explore) and the
-// abstract fixpoint engine (internal/abssem) both run as sequences of
-// leveled rounds, and this package owns everything about a round that is
-// engine-independent —
+// framework's engines, and owns everything about parallel execution that
+// is engine-independent —
 //
 //   - Pool: a persistent set of worker goroutines reused across rounds
 //     and across engine invocations, replacing the per-level goroutine
@@ -10,9 +8,14 @@
 //   - the grain heuristic (GrainSize) plus the strided-grain, CAS-claim,
 //     steal-cursor loop that balances skewed rounds without affecting
 //     which slot a result lands in;
-//   - Rounds: the fan-out/serial-merge protocol — expansion results land
-//     in position-indexed slots that only a serial, in-order merge reads,
-//     so engine output is bit-identical at any worker count.
+//   - Rounds: the fan-out/serial-merge protocol the abstract fixpoint
+//     engine (internal/abssem) runs on — expansion results land in
+//     position-indexed slots that only a serial, in-order merge reads,
+//     so engine output is bit-identical at any worker count;
+//   - DepRounds: the dependency-driven pipeline the concrete explorer
+//     (internal/explore) runs on — tasks in sequential discovery order,
+//     each merged as soon as its own expansion and its predecessor's
+//     merge are done, with no level barrier.
 //
 // The determinism contract (see DESIGN.md "Deterministic parallel
 // runtime"): workers may only write the slot of the index they were

@@ -8,8 +8,7 @@
 //   - One pool, many runs. Every analysis executes on the service's
 //     shared sched.Pool; concurrent submissions interleave on the same
 //     persistent workers instead of spawning goroutines per request.
-//     Workers and scheduler choice are server-side, execution-only
-//     configuration — by the engines' determinism contract they never
+//     Workers are server-side, execution-only configuration — by the engines' determinism contract they never
 //     change results, so they are not part of a request.
 //
 //   - Coalescing and caching by result identity. Two requests with the
@@ -68,7 +67,7 @@ type Request struct {
 	// the default) or "abstract" (the abstract fixpoint engine).
 	Analysis string `json:"analysis,omitempty"`
 	// Options are the result-relevant run options. Execution-only
-	// configuration (workers, scheduler) is server-side.
+	// configuration (workers) is server-side.
 	Options Options `json:"options,omitempty"`
 	// Base is the ProgramHash of a previously analyzed version this
 	// program is an edit of. Setting it routes an abstract run through
@@ -163,8 +162,6 @@ type Config struct {
 	// Workers sizes the shared pool both engines run on (0/1
 	// sequential, negative GOMAXPROCS).
 	Workers int
-	// Sched selects the parallel scheduler for every run.
-	Sched sched.Scheduler
 	// MaxBody caps the request body in bytes (default 1 MiB).
 	MaxBody int64
 	// CacheMax bounds the completed-result cache: at most CacheMax
@@ -512,7 +509,6 @@ func (s *Service) execute(ctx context.Context, req *Request) (*outcome, *metrics
 		Reduction:  red,
 		Coarsen:    req.Options.Coarsen,
 		Workers:    s.cfg.Workers,
-		Sched:      s.cfg.Sched,
 		Pool:       s.pool,
 		MaxConfigs: req.Options.MaxConfigs,
 		ExactKeys:  req.Options.ExactKeys,

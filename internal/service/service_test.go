@@ -16,7 +16,6 @@ import (
 	"psa/internal/abssem"
 	"psa/internal/explore"
 	"psa/internal/lang"
-	"psa/internal/sched"
 	"psa/internal/workloads"
 )
 
@@ -40,9 +39,9 @@ func main() {
 // enough for a bounded test.
 func longProg() string { return lang.Format(workloads.Philosophers(5)) }
 
-func newSvc(t *testing.T, workers int, sc sched.Scheduler) (*Service, *httptest.Server) {
+func newSvc(t *testing.T, workers int) (*Service, *httptest.Server) {
 	t.Helper()
-	svc := New(Config{Workers: workers, Sched: sc})
+	svc := New(Config{Workers: workers})
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -83,7 +82,7 @@ func waitForServiceGoroutineBaseline(t *testing.T, want int) {
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
-	_, ts := newSvc(t, 0, sched.Leveled)
+	_, ts := newSvc(t, 0)
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +115,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 // The acceptance criterion: a completed service run is bit-identical to
 // the direct engine summary for the same (program, options) at 0, 1,
-// and 4 workers under both schedulers.
+// and 4 workers.
 func TestResponsesBitIdenticalToDirectRuns(t *testing.T) {
 	prog, err := lang.Parse(smallProg)
 	if err != nil {
@@ -126,35 +125,33 @@ func TestResponsesBitIdenticalToDirectRuns(t *testing.T) {
 	wantAbstract := abssem.Analyze(prog, abssem.Options{Domain: absdom.SignDomain{}}).String()
 
 	for _, workers := range []int{0, 1, 4} {
-		for _, sc := range []sched.Scheduler{sched.Leveled, sched.DepDriven} {
-			_, ts := newSvc(t, workers, sc)
-			code, out := post(t, ts.URL, Request{
-				Program: smallProg,
-				Options: Options{Reduction: "stubborn", Coarsen: true},
-			})
-			if code != http.StatusOK {
-				t.Fatalf("workers=%d sched=%s: status %d (%+v)", workers, sc, code, out)
-			}
-			if out.Summary != wantExplore {
-				t.Errorf("workers=%d sched=%s: explore summary %q != direct %q", workers, sc, out.Summary, wantExplore)
-			}
-			code, out = post(t, ts.URL, Request{
-				Program:  smallProg,
-				Analysis: "abstract",
-				Options:  Options{Domain: "sign"},
-			})
-			if code != http.StatusOK {
-				t.Fatalf("workers=%d sched=%s: abstract status %d (%+v)", workers, sc, code, out)
-			}
-			if out.Summary != wantAbstract {
-				t.Errorf("workers=%d sched=%s: abstract summary %q != direct %q", workers, sc, out.Summary, wantAbstract)
-			}
+		_, ts := newSvc(t, workers)
+		code, out := post(t, ts.URL, Request{
+			Program: smallProg,
+			Options: Options{Reduction: "stubborn", Coarsen: true},
+		})
+		if code != http.StatusOK {
+			t.Fatalf("workers=%d: status %d (%+v)", workers, code, out)
+		}
+		if out.Summary != wantExplore {
+			t.Errorf("workers=%d: explore summary %q != direct %q", workers, out.Summary, wantExplore)
+		}
+		code, out = post(t, ts.URL, Request{
+			Program:  smallProg,
+			Analysis: "abstract",
+			Options:  Options{Domain: "sign"},
+		})
+		if code != http.StatusOK {
+			t.Fatalf("workers=%d: abstract status %d (%+v)", workers, code, out)
+		}
+		if out.Summary != wantAbstract {
+			t.Errorf("workers=%d: abstract summary %q != direct %q", workers, out.Summary, wantAbstract)
 		}
 	}
 }
 
 func TestResultCache(t *testing.T) {
-	svc, ts := newSvc(t, 0, sched.Leveled)
+	svc, ts := newSvc(t, 0)
 	req := Request{Program: smallProg, Options: Options{Outcomes: true}}
 	_, first := post(t, ts.URL, req)
 	if first.Cached {
@@ -248,7 +245,7 @@ func main() {
 // the session's choice (one miss for a real edit, one hit for an
 // α-neutral resubmission that replays the previous result).
 func TestIncrementalBaseRequests(t *testing.T) {
-	svc, ts := newSvc(t, 0, sched.Leveled)
+	svc, ts := newSvc(t, 0)
 
 	scratch := func(src string) string {
 		return abssem.Analyze(lang.MustParse(src), abssem.Options{}).String()
@@ -319,7 +316,7 @@ func TestIncrementalBaseRequests(t *testing.T) {
 // the followers either attached to the in-flight run (coalesce hits) or,
 // if they lost the race with completion, hit the result cache.
 func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
-	svc, ts := newSvc(t, 2, sched.Leveled)
+	svc, ts := newSvc(t, 2)
 	prog := longProg()
 	req := Request{Program: prog}
 
@@ -466,7 +463,7 @@ func TestCloseCancelsInflightRuns(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts := newSvc(t, 0, sched.Leveled)
+	_, ts := newSvc(t, 0)
 	for name, tc := range map[string]struct {
 		method string
 		body   string
@@ -490,7 +487,7 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 
-	svcBig, tsBig := newSvc(t, 0, sched.Leveled)
+	svcBig, tsBig := newSvc(t, 0)
 	_ = svcBig
 	huge := `{"program":"` + strings.Repeat("x", 2<<20) + `"}`
 	resp, err := http.Post(tsBig.URL+"/analyze", "application/json", strings.NewReader(huge))

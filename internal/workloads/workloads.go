@@ -1,12 +1,11 @@
 // Package workloads builds the programs behind the paper's figures and
-// examples, the dining-philosophers family used for the [Val88] scaling
-// claim, and random cobegin programs for differential testing of the
-// state-space reductions.
+// examples and the dining-philosophers family used for the [Val88]
+// scaling claim. Random programs for differential testing come from
+// package progen.
 package workloads
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"psa/internal/lang"
@@ -365,136 +364,4 @@ func ClanWorkers(n int) *lang.Program {
 	}
 	b.WriteString(" coend\n}\n")
 	return lang.MustParse(b.String())
-}
-
-// Random generates a loop-free cobegin program from the seed: a handful of
-// globals and two or three arms of assignments, conditionals, calls, and
-// heap traffic. Loop-freedom guarantees termination, making the programs
-// suitable for differential testing (full vs. stubborn vs. coarsened
-// explorations must produce identical result-configuration sets).
-func Random(seed int64) *lang.Program {
-	r := rand.New(rand.NewSource(seed))
-	g := &generator{r: r}
-	return g.program()
-}
-
-// RandomRich generates a terminating cobegin program with richer shapes
-// than Random: bounded while loops over fresh locals, nested cobegins,
-// and multi-argument calls. Termination still holds on every
-// interleaving (loop counters are thread-private), so the programs serve
-// the same differential corpora at higher structural diversity.
-func RandomRich(seed int64) *lang.Program {
-	r := rand.New(rand.NewSource(seed))
-	g := &generator{r: r, rich: true}
-	return g.program()
-}
-
-type generator struct {
-	r       *rand.Rand
-	nglob   int
-	tmpSeq  int
-	hasHeap bool
-	rich    bool
-	depth   int
-}
-
-func (g *generator) program() *lang.Program {
-	g.nglob = 2 + g.r.Intn(3)
-	var b strings.Builder
-	for i := 0; i < g.nglob; i++ {
-		fmt.Fprintf(&b, "var g%d = %d;\n", i, g.r.Intn(3))
-	}
-	// Optional helper functions: a mutator and a getter whose return
-	// value derives from a shared read (exercising return-splits).
-	hasFn := g.r.Intn(2) == 0
-	if hasFn {
-		fmt.Fprintf(&b, "func helper(v) { g%d = v + 1; return v * 2; }\n", g.r.Intn(g.nglob))
-		fmt.Fprintf(&b, "func getter() { return g%d + %d; }\n", g.r.Intn(g.nglob), g.r.Intn(5))
-	}
-	b.WriteString("func main() {\n")
-	if g.r.Intn(2) == 0 {
-		b.WriteString("  var h = malloc(2);\n  *h = 1;\n")
-		g.hasHeap = true
-	}
-	arms := 2 + g.r.Intn(2)
-	b.WriteString("  cobegin ")
-	for a := 0; a < arms; a++ {
-		if a > 0 {
-			b.WriteString(" || ")
-		}
-		b.WriteString("{\n")
-		n := 1 + g.r.Intn(3)
-		for s := 0; s < n; s++ {
-			b.WriteString("    ")
-			b.WriteString(g.stmt(hasFn))
-			b.WriteString("\n")
-		}
-		b.WriteString("  }")
-	}
-	b.WriteString(" coend\n")
-	fmt.Fprintf(&b, "  g0 = g0 + g%d;\n", g.r.Intn(g.nglob))
-	b.WriteString("}\n")
-	return lang.MustParse(b.String())
-}
-
-func (g *generator) glob() string { return fmt.Sprintf("g%d", g.r.Intn(g.nglob)) }
-
-func (g *generator) rhs() string {
-	switch g.r.Intn(4) {
-	case 0:
-		return fmt.Sprintf("%d", g.r.Intn(5))
-	case 1:
-		return g.glob()
-	case 2:
-		return fmt.Sprintf("%s + %d", g.glob(), 1+g.r.Intn(3))
-	default:
-		return fmt.Sprintf("%s + %s", g.glob(), g.glob())
-	}
-}
-
-func (g *generator) stmt(hasFn bool) string {
-	options := []func() string{
-		func() string { return fmt.Sprintf("%s = %s;", g.glob(), g.rhs()) },
-		func() string { return fmt.Sprintf("%s = %s;", g.glob(), g.rhs()) },
-		func() string {
-			return fmt.Sprintf("if %s > %d { %s = %s; }", g.glob(), g.r.Intn(3), g.glob(), g.rhs())
-		},
-		func() string {
-			g.tmpSeq++
-			return fmt.Sprintf("var t%d = %s; %s = t%d;", g.tmpSeq, g.rhs(), g.glob(), g.tmpSeq)
-		},
-	}
-	if hasFn {
-		options = append(options,
-			func() string { return fmt.Sprintf("%s = helper(%s);", g.glob(), g.glob()) },
-			func() string { return fmt.Sprintf("%s = getter();", g.glob()) },
-		)
-	}
-	if g.hasHeap {
-		options = append(options,
-			func() string { return fmt.Sprintf("*h = *h + %d;", 1+g.r.Intn(3)) },
-			func() string { return fmt.Sprintf("*(h + 1) = %s;", g.glob()) },
-		)
-	}
-	if g.rich && g.depth < 2 {
-		options = append(options,
-			func() string {
-				// Bounded loop over a thread-private counter.
-				g.depth++
-				defer func() { g.depth-- }()
-				g.tmpSeq++
-				i := g.tmpSeq
-				return fmt.Sprintf("var i%d = 0; while i%d < %d { %s i%d = i%d + 1; }",
-					i, i, 1+g.r.Intn(3), g.stmt(hasFn), i, i)
-			},
-			func() string {
-				// Nested cobegin with two simple arms.
-				g.depth++
-				defer func() { g.depth-- }()
-				return fmt.Sprintf("cobegin { %s } || { %s } coend",
-					g.stmt(hasFn), g.stmt(hasFn))
-			},
-		)
-	}
-	return options[g.r.Intn(len(options))]()
 }

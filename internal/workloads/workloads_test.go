@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"strings"
 	"testing"
 
 	"psa/internal/explore"
@@ -79,27 +78,6 @@ func TestPhilosophersPanicsBelow2(t *testing.T) {
 	Philosophers(1)
 }
 
-func TestRandomDeterministic(t *testing.T) {
-	a := lang.Format(Random(7))
-	b := lang.Format(Random(7))
-	if a != b {
-		t.Error("Random is not deterministic per seed")
-	}
-	c := lang.Format(Random(8))
-	if a == c {
-		t.Error("different seeds should give different programs (usually)")
-	}
-}
-
-func TestRandomCorpusTerminates(t *testing.T) {
-	for seed := int64(100); seed < 140; seed++ {
-		p := Random(seed)
-		if _, err := sem.Run(p, 100000); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-		}
-	}
-}
-
 func TestProducerConsumerResult(t *testing.T) {
 	res := explore.Explore(ProducerConsumer(3), explore.Options{
 		Reduction: explore.Stubborn, Coarsen: true,
@@ -120,45 +98,5 @@ func TestClanWorkersArms(t *testing.T) {
 	v, _ := res.Final.GlobalByName("counter")
 	if v.N != 5 {
 		t.Errorf("counter = %s, want 5 under the sequential scheduler", v)
-	}
-}
-
-func TestRandomRichCorpusTerminates(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		p := RandomRich(seed)
-		if _, err := sem.Run(p, 300000); err != nil {
-			t.Errorf("seed %d: %v\n%s", seed, err, lang.Format(p))
-		}
-	}
-}
-
-func TestRandomRichRoundTrips(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		p := RandomRich(seed)
-		text := lang.Format(p)
-		p2, err := lang.Parse(text)
-		if err != nil {
-			t.Fatalf("seed %d: formatted program does not reparse: %v\n%s", seed, err, text)
-		}
-		if lang.Format(p2) != text {
-			t.Errorf("seed %d: format not idempotent", seed)
-		}
-	}
-}
-
-func TestRandomRichHasRichShapes(t *testing.T) {
-	// Over a window of seeds, both loops and nested cobegins must appear.
-	loops, nested := false, false
-	for seed := int64(0); seed < 60; seed++ {
-		text := lang.Format(RandomRich(seed))
-		if strings.Contains(text, "while") {
-			loops = true
-		}
-		if strings.Count(text, "cobegin") > 1 {
-			nested = true
-		}
-	}
-	if !loops || !nested {
-		t.Errorf("rich generator lacks diversity: loops=%v nested=%v", loops, nested)
 	}
 }
