@@ -7,6 +7,7 @@ import (
 
 	"psa/internal/metrics"
 	"psa/internal/progen"
+	"psa/internal/sched"
 	"psa/internal/sem"
 	"psa/internal/workloads"
 )
@@ -104,6 +105,38 @@ func TestDepMatchesSequential(t *testing.T) {
 	}
 }
 
+// The same cases back to back on one shared sched.Pool (the CLI and
+// service pattern): a pool that just served one exploration must leave
+// the next indistinguishable from the sequential explorer.
+func TestParallelMatchesSequential(t *testing.T) {
+	progs := map[string]Options{
+		"fig2-full":          {Reduction: Full},
+		"fig5-stubborn":      {Reduction: Stubborn},
+		"philo3-full":        {Reduction: Full},
+		"philo4-reduced":     {Reduction: Stubborn, Coarsen: true},
+		"workers-coarsened":  {Reduction: Full, Coarsen: true},
+		"peterson-reduced":   {Reduction: Stubborn, Coarsen: true},
+		"crossedwait-graphs": {Reduction: Full, KeepGraph: true},
+	}
+	sources := map[string]func() *sem.Config{
+		"fig2-full":          func() *sem.Config { return sem.NewConfig(workloads.Fig2()) },
+		"fig5-stubborn":      func() *sem.Config { return sem.NewConfig(workloads.Fig5Malloc()) },
+		"philo3-full":        func() *sem.Config { return sem.NewConfig(workloads.Philosophers(3)) },
+		"philo4-reduced":     func() *sem.Config { return sem.NewConfig(workloads.Philosophers(4)) },
+		"workers-coarsened":  func() *sem.Config { return sem.NewConfig(workloads.IndependentWorkers(3, 3)) },
+		"peterson-reduced":   func() *sem.Config { return sem.NewConfig(workloads.Peterson()) },
+		"crossedwait-graphs": func() *sem.Config { return sem.NewConfig(workloads.CrossedWait()) },
+	}
+	pool := sched.NewPool(4)
+	defer pool.Close()
+	for name, opts := range progs {
+		t.Run(name, func(t *testing.T) {
+			opts.Pool = pool
+			matchesSequential(t, sources[name], opts, 4, 4)
+		})
+	}
+}
+
 // Random programs (loops, nested cobegin, heap traffic) through the same
 // differential check.
 func TestDepCorpus(t *testing.T) {
@@ -117,6 +150,25 @@ func TestDepCorpus(t *testing.T) {
 		}
 		mk := func() *sem.Config { return sem.NewConfig(prog) }
 		matchesSequential(t, mk, Options{Reduction: Full, MaxConfigs: 1 << 17}, parallelWorkers...)
+		if t.Failed() {
+			t.Fatalf("seed %d diverged", seed)
+		}
+	}
+}
+
+// The random corpus again under stubborn-set reduction with coarsening,
+// whose per-task stubborn-set and coarsening decisions the workers make.
+func TestParallelCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus in -short mode")
+	}
+	for seed := int64(0); seed < 25; seed++ {
+		prog, _, err := progen.Generate(seed, progen.CorpusProfile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mk := func() *sem.Config { return sem.NewConfig(prog) }
+		matchesSequential(t, mk, Options{Reduction: Stubborn, Coarsen: true, MaxConfigs: 1 << 17}, 3, 4)
 		if t.Failed() {
 			t.Fatalf("seed %d diverged", seed)
 		}
@@ -159,6 +211,19 @@ func TestDepTruncationMatchesSequential(t *testing.T) {
 	}
 }
 
+// The MaxConfigs cut under stubborn-set reduction with a kept graph: the
+// truncated graph, terminals, and errors match the sequential cut.
+func TestParallelTruncation(t *testing.T) {
+	mk := func() *sem.Config { return sem.NewConfig(workloads.Philosophers(4)) }
+	for _, max := range []int{50, 200} {
+		opts := Options{Reduction: Stubborn, KeepGraph: true, MaxConfigs: max}
+		if !ExploreFrom(mk(), opts).Truncated {
+			t.Fatalf("MaxConfigs=%d did not truncate", max)
+		}
+		matchesSequential(t, mk, opts, parallelWorkers...)
+	}
+}
+
 // A violation trace discovered by the parallel explorer must replay
 // step-for-step on the concrete semantics.
 func TestDepTraceReplay(t *testing.T) {
@@ -188,6 +253,41 @@ func TestDepTraceReplay(t *testing.T) {
 		}
 		if c.Encode() != key {
 			t.Errorf("workers=%d: parallel-discovered trace does not replay to its state", workers)
+		}
+	}
+}
+
+// Under stubborn-set reduction every violation the parallel explorer
+// finds carries a trace that replays step-for-step to it.
+func TestParallelTraceReplay(t *testing.T) {
+	prog := workloads.PetersonBroken()
+	for _, workers := range parallelWorkers {
+		res := Explore(prog, Options{Reduction: Stubborn, KeepGraph: true, Workers: workers})
+		if len(res.Errors) == 0 {
+			t.Fatalf("workers=%d: violation expected", workers)
+		}
+		for _, e := range res.Errors {
+			key := e.Encode()
+			trace, ok := res.Graph.TraceTo(key)
+			if !ok {
+				t.Fatalf("workers=%d: no trace", workers)
+			}
+			c := sem.NewConfig(prog)
+			for _, step := range trace {
+				idx := -1
+				for j, p := range c.Procs {
+					if p.Path == step.Proc {
+						idx = j
+					}
+				}
+				if idx < 0 {
+					t.Fatalf("workers=%d: replay lost a process", workers)
+				}
+				c = c.Step(idx).Config
+			}
+			if c.Encode() != key {
+				t.Errorf("workers=%d: parallel-discovered trace does not replay to its state", workers)
+			}
 		}
 	}
 }

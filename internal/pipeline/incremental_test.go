@@ -7,6 +7,7 @@ import (
 	"psa/internal/abssem"
 	"psa/internal/lang"
 	"psa/internal/metrics"
+	"psa/internal/sched"
 )
 
 const incBase = `
@@ -96,6 +97,9 @@ func TestIncrementalBitIdentical(t *testing.T) {
 		{"seq", RunOptions{}},
 		// The abstract engine's parallel loop is leveled rounds.
 		{"leveled4", RunOptions{Workers: 4}},
+		// RunOptions.Sched is ignored: asking for the dependency-driven
+		// scheduler still runs leveled rounds, bit-identical to scratch.
+		{"dep4", RunOptions{Workers: 4, Sched: sched.DepDriven}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inc := NewIncremental(tc.ro, nil)
