@@ -63,6 +63,13 @@ func Expectations() []Expectation {
 	}
 }
 
+// Program builds a fresh copy of the workload's program.
+func (e Expectation) Program() *lang.Program { return e.prog() }
+
+// Options returns the exploration settings the counts were recorded
+// under.
+func (e Expectation) Options() explore.Options { return e.opts }
+
 // WorkloadRow is one verified workload run: the machine-readable
 // per-workload record cmd/paperbench emits (and CI archives) for
 // trajectory tracking.
