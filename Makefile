@@ -33,9 +33,11 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Local mirror of the CI bench-compare job: benchmark the working tree
-# against BASE (default origin/main) and print the benchstat delta.
-# Requires benchstat (go install golang.org/x/perf/cmd/benchstat@latest).
+# Benchmark the working tree against BASE (default origin/main) and
+# print the benchstat delta. The CI bench-compare job runs this target
+# with BASE set to the merge base, so BENCH_PAT is the only copy of the
+# benchmark pattern. Requires benchstat (go install
+# golang.org/x/perf/cmd/benchstat@latest).
 BASE ?= origin/main
 BENCH_PAT ?= BenchmarkPhilosophers|BenchmarkEncode|BenchmarkParallelExploration|BenchmarkAbstract|BenchmarkSchedRounds|BenchmarkSchedDep|BenchmarkIncrementalReanalysis
 benchcmp:
@@ -88,7 +90,7 @@ fuzz-smoke:
 
 # Fixed-seed differential soak smoke — the CI soak-smoke job: 200
 # generated programs through all four oracles (concrete-vs-abstract
-# soundness, reduced-vs-full equivalence, parallel-vs-sequential
+# soundness, reduced-vs-full equivalence, parallel-vs-inline
 # bit-identity, fingerprint-vs-exact-keys). Any divergence exits
 # nonzero and leaves a shrunk reproducer in soak-corpus/.
 SOAK_SEED ?= 1

@@ -281,12 +281,11 @@ func BenchmarkAbstractInterpret(b *testing.B) {
 	}
 }
 
-// BenchmarkAbstractParallel measures the parallel abstract fixpoint
-// engine (leveled rounds) against the sequential worklist on the
-// heaviest abstract reference workload (workers-n1 dispatches to the
-// sequential loop, so it is the baseline). Results are bit-identical at
-// every worker count, so benchstat comparisons isolate pure scheduling
-// cost/benefit.
+// BenchmarkAbstractParallel sweeps the abstract fixpoint engine's
+// leveled rounds over worker counts on the heaviest abstract reference
+// workload (workers-n1 runs the same rounds inline, so it is the
+// baseline). Results are bit-identical at every worker count, so
+// benchstat comparisons isolate pure scheduling cost/benefit.
 func BenchmarkAbstractParallel(b *testing.B) {
 	prog := workloads.Philosophers(5)
 	for _, workers := range []int{1, 2, 4, 8, 16} {
@@ -550,9 +549,9 @@ func BenchmarkSchedRounds(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExploration sweeps the concrete explorer over worker
-// counts (workers-n1 is the sequential baseline; higher counts run the
-// dependency-driven pipeline).
+// BenchmarkParallelExploration sweeps the concrete explorer's
+// dependency-driven pipeline over worker counts (workers-n1 runs it
+// inline, so it is the baseline).
 func BenchmarkParallelExploration(b *testing.B) {
 	prog := workloads.Philosophers(5)
 	for _, workers := range []int{1, 2, 4, 8, 16} {
@@ -619,7 +618,7 @@ func BenchmarkSchedDep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dep.Run(seeds,
 					func(j int, p *task, _ *struct{}) { time.Sleep(delay(*p)) },
-					nil,
+					func(int, *task, *struct{}) {},
 					func(j int, p *task, _ *struct{}, emit func(task)) bool {
 						if p.level+1 < depth {
 							emit(task{chain: p.chain, level: p.level + 1})

@@ -261,7 +261,7 @@ func runOracles(prog *lang.Program, maxConfigs int, injectUnsound bool) (skipped
 		}
 	}
 
-	// Oracle 3: parallel-vs-sequential bit-identity for both engines.
+	// Oracle 3: parallel-vs-inline bit-identity for both engines.
 	checked = append(checked, "parallel")
 	for _, w := range []int{1, 4, -1} {
 		roW := ro

@@ -43,19 +43,19 @@ type Options struct {
 	// widening kicks in (default 4). Negative requests 0: widening on the
 	// first rejoin, the fastest-converging (coarsest) iteration strategy.
 	WidenAfter int
-	// Workers > 1 runs the fixpoint with that many goroutines expanding
-	// each worklist round in parallel; 0 or 1 is sequential and a
-	// negative count uses GOMAXPROCS. Every Result field and every
-	// deterministic metrics counter is bit-identical to the sequential
-	// engine's for any worker count: joins, widening decisions, dedup,
-	// and queue order stay in a serial per-round merge (see aparallel.go).
+	// Workers is the number of goroutines expanding each worklist round
+	// (see aparallel.go): 0 or 1 runs the rounds inline on the caller's
+	// goroutine, a negative count uses GOMAXPROCS. Every Result field
+	// and every deterministic metrics counter is bit-identical at any
+	// worker count: joins, widening decisions, dedup, and queue order
+	// stay in a serial per-round merge.
 	Workers int
 	// Pool, when non-nil, is the shared scheduler pool (internal/sched)
 	// the parallel fixpoint runs on: its worker count governs
 	// scheduling, the caller keeps ownership (Analyze never closes it),
 	// and consecutive Explore/Analyze calls may reuse it to amortize
-	// worker startup. Nil makes each parallel run create a private pool
-	// sized by Workers. Ignored on sequential runs.
+	// worker startup. Nil makes each multi-worker run create a private
+	// pool sized by Workers. Ignored when Workers is 0 or 1.
 	Pool *sched.Pool
 	// CollectFootprints records per-statement abstract access footprints
 	// (Result.FootprintOf / Conflicts) — the §5.2 dependences computed
@@ -197,8 +197,9 @@ type aState struct {
 	visits int
 	queued bool
 	// changed is the merge sequence number of the last join that grew
-	// this state's value component. Only the parallel engine reads it
-	// (stale-expansion detection); the sequential engine leaves it 0.
+	// this state's value component; the round merge compares it with
+	// the round's start to detect an expansion computed from a stale
+	// value state.
 	changed int
 }
 
@@ -236,106 +237,13 @@ func AnalyzeContext(ctx context.Context, prog *lang.Program, opts Options) *Resu
 		ctx = context.Background()
 	}
 	opts.fill()
-	if opts.Workers > 1 || opts.Workers < 0 {
-		return analyzeParallel(ctx, prog, opts)
-	}
-	// done is nil for a never-cancellable context, keeping the worklist
-	// loop's cancellation probe a single nil check.
-	done := ctx.Done()
-	m := opts.Metrics
-	defer m.Phase("abstract")()
-	sc := newStepCtx(prog, opts)
-	res := &Result{prog: prog, foot: sc.foot}
-
-	init := initialConfig(prog, opts.Domain)
-	states := map[ctrlSig]*aState{}
-	sig0 := init.signature()
-	states[sig0] = &aState{cfg: init, queued: true}
-	queue := []ctrlSig{sig0}
-
-fixpoint:
-	for len(queue) > 0 {
-		if done != nil {
-			select {
-			case <-done:
-				// Cancelled: cut exactly like the MaxStates truncation —
-				// fall through to collection so the run still reports
-				// invariants, terminals, and footprints for the explored
-				// prefix.
-				res.Cancelled = true
-				break fixpoint
-			default:
-			}
-		}
-		m.SetGauge(metrics.QueueLen, int64(len(queue)))
-		m.MaxGauge(metrics.MaxFrontier, int64(len(queue)))
-		sig := queue[0]
-		queue = queue[1:]
-		stv := states[sig]
-		stv.queued = false
-		stv.visits++
-		res.Visits++
-		m.Inc(metrics.AbsVisits)
-
-		// Expansion goes through expandState — the same per-visit unit the
-		// parallel engines fan out — so all three engines replay literally
-		// identical successor sets (footprints land in per-process scratch
-		// and merge here in the same order the parallel serial merges use).
-		e := expandState(sc, stv.cfg)
-		if len(e.enabled) == 0 {
-			continue // terminal; collected after the fixpoint
-		}
-		for j := range e.enabled {
-			sc.foot.merge(e.foots[j])
-			for k, succ := range e.succs[j] {
-				if succ.Procs == nil {
-					// Error witness: no continuation.
-					if succ.MayError {
-						res.MayError = true
-					}
-					continue
-				}
-				if succ.MayError {
-					res.MayError = true
-				}
-				nsig := e.sigs[j][k]
-				cur, ok := states[nsig]
-				if !ok {
-					if len(states) >= opts.MaxStates {
-						// Truncated: stop iterating, but still fall
-						// through to the collection phase so the run
-						// reports invariants, terminals, and footprints
-						// for the prefix it explored.
-						res.Truncated = true
-						break fixpoint
-					}
-					cur = &aState{cfg: succ.deepCopy()}
-					states[nsig] = cur
-					cur.queued = true
-					queue = append(queue, nsig)
-					continue
-				}
-				widen := cur.visits >= opts.WidenAfter
-				m.Inc(metrics.AbsJoins)
-				if widen {
-					m.Inc(metrics.AbsWidenings)
-				}
-				if cur.cfg.joinInto(succ, widen) && !cur.queued {
-					cur.queued = true
-					queue = append(queue, nsig)
-				}
-			}
-		}
-	}
-
-	res.collect(states, m)
-	return res
+	return analyzeParallel(ctx, prog, opts)
 }
 
 // collect builds the client-facing views over the explored states: the
 // per-program-point invariants, the terminal join, and the state count.
 // It runs after the fixpoint loop on complete AND truncated runs, and it
-// iterates states in sorted signature order so both engines produce the
+// iterates states in sorted signature order so every run produces the
 // same joins in the same order (lattice joins are order-insensitive in
 // value, but identical order makes the results bit-identical too).
 //

@@ -8,42 +8,42 @@ import (
 	"psa/internal/sched"
 )
 
-// analyzeParallel is the multi-worker abstract fixpoint engine: the same
-// worklist iteration as the sequential Analyze, restructured into rounds
-// on the shared deterministic runtime (internal/sched) so successor
-// generation parallelizes while the lattice bookkeeping stays serial
-// (after Kim, Venet & Thakur, "Deterministic Parallel Fixpoint
-// Computation", POPL 2020).
+// analyzeParallel is the abstract fixpoint engine's one worklist loop:
+// FIFO worklist iteration structured into rounds on the shared
+// deterministic runtime (internal/sched), so successor generation
+// parallelizes while the lattice bookkeeping stays serial (after Kim,
+// Venet & Thakur, "Deterministic Parallel Fixpoint Computation", POPL
+// 2020). At 0 or 1 workers the rounds run on the nil pool, which
+// expands a whole round inline and then merges it.
 //
 // Each round snapshots the pending worklist and fans the expensive,
 // side-effect-free work — sc.step (abstract transfer functions),
 // signature (Taylor fold keys), and footprint recording into private
 // scratch — out across sched's persistent workers using the strided-
 // grain + CAS-claim + steal-cursor scheduling both engines share. The
-// serial merge then replays the worklist in exactly the sequential
-// engine's order: visits, dedup, joins, widening decisions (visits >=
-// WidenAfter), queue appends, and the MaxStates truncation cut all
-// happen in one goroutine, so every Result field and every
-// deterministic metrics counter is bit-identical to the sequential
-// engine's for any worker count.
+// serial merge then walks the worklist in FIFO order: visits, dedup,
+// joins, widening decisions (visits >= WidenAfter), queue appends, and
+// the MaxStates truncation cut all happen in one goroutine, so every
+// Result field and every deterministic metrics counter is bit-identical
+// for any worker count.
 //
 // The one way a snapshot can go stale — and the reason a naive leveled
-// parallelization of THIS worklist would diverge from the sequential
-// engine — is a join: merging an earlier entry of the round may grow the
-// value state of a later entry (the abstract engine joins into stored
-// states, where the concrete explorer's states are immutable). The merge
-// tracks a per-state change sequence number; an entry whose state grew
-// after the workers snapshotted it is re-expanded serially from its
-// current value state, exactly as the sequential engine would have seen
-// it. Stale entries are rare in practice (a state must be re-joined in
-// the same round that re-visits it) and are counted in the perf-only
-// abs_stale_recomputes metric.
+// parallelization of THIS worklist would diverge from one-entry-at-a-
+// time iteration — is a join: merging an earlier entry of the round may
+// grow the value state of a later entry (the abstract engine joins into
+// stored states, where the concrete explorer's states are immutable).
+// The merge tracks a per-state change sequence number; an entry whose
+// state grew after the round snapshot is re-expanded serially from its
+// current value state, exactly as it would be if popped and expanded on
+// its own. Stale entries are rare in practice (a state must be re-joined
+// in the same round that re-visits it) and are counted in the perf-only
+// abs_stale_recomputes metric. The snapshot does not depend on the
+// worker count, so the inline run recomputes the same entries.
 //
-// This is the abstract engine's only parallel loop. The dependency-driven
-// executor (sched.DepRounds) measured slower here (DESIGN.md §7): a
-// worker may still be reading a state the merge joins into, so every
-// such join would have to copy the configuration, and those copies cost
-// more than the round barrier saves.
+// The dependency-driven executor (sched.DepRounds) measured slower here
+// (DESIGN.md §7): a worker may still be reading a state the merge joins
+// into, so every such join would have to copy the configuration, and
+// those copies cost more than the round barrier saves.
 //
 // Cancellation rides the sched runtime: rounds.DoContext stops the
 // serial merge before its next entry once ctx fires, in-flight
@@ -52,13 +52,13 @@ import (
 // for the merged prefix.
 func analyzeParallel(ctx context.Context, prog *lang.Program, opts Options) *Result {
 	pool := opts.Pool
-	if pool == nil {
-		pool = sched.NewPool(opts.Workers)
+	if pool == nil || opts.Workers == 0 || opts.Workers == 1 {
+		pool = sched.ForWorkers(opts.Workers)
 		defer pool.Close()
 	}
-	// Metrics discipline: every counter that must match the sequential
-	// engine (visits, joins, widenings, states) is recorded in the serial
-	// merge; workers only compute. The worker-dependent counters
+	// Metrics discipline: every counter that must not depend on the
+	// worker count (visits, joins, widenings, states) is recorded in the
+	// serial merge; workers only compute. The worker-dependent counters
 	// (abs_steals, fed through the sched steal hook) and the
 	// round-structure ones (abs_stale_recomputes) are perf-only.
 	m := opts.Metrics
@@ -95,8 +95,8 @@ func analyzeParallel(ctx context.Context, prog *lang.Program, opts Options) *Res
 			*e = expandState(sc, states[round[i]].cfg)
 		}
 
-		// Merge phase: replay the sequential worklist over one round
-		// entry; returns false on the MaxStates truncation cut.
+		// Merge phase: one worklist step over one round entry; returns
+		// false on the MaxStates truncation cut.
 		merge1 := func(i int, e *aExpansion) bool {
 			sig := round[i]
 			m.SetGauge(metrics.QueueLen, int64(len(queue)-head))
@@ -114,7 +114,7 @@ func analyzeParallel(ctx context.Context, prog *lang.Program, opts Options) *Res
 			if stv.changed > roundStart {
 				// A join earlier in this round grew this entry's value
 				// state after the snapshot; recompute its successors from
-				// the state the sequential engine would have expanded.
+				// the current state.
 				*e = expandState(sc, stv.cfg)
 				m.Inc(metrics.AbsStaleRecomputes)
 			}
@@ -187,16 +187,15 @@ type aExpansion struct {
 	foots   []*footRec
 }
 
-// expandState computes the successors of every enabled process of cfg.
-// It must perform exactly the work the sequential engine's inner loop
-// performs — sc.step and signature, with footprints attributed per
-// process — because the serial merges of all three engines replay its
-// output in sequential order, including the mid-entry MaxStates
-// truncation cut (which drops whole processes, so footprints are scoped
-// per process too). When footprints are being collected, each process
-// steps through a shallow copy of sc pointing at a private scratch
-// recorder, so concurrent expansions never share the mutable footprint
-// map; everything else in sc is read-only during a round.
+// expandState computes the successors of every enabled process of cfg:
+// sc.step and signature, with footprints attributed per process. The
+// serial merge consumes its output in worklist order, including the
+// mid-entry MaxStates truncation cut (which drops whole processes, so
+// footprints are scoped per process too). When footprints are being
+// collected, each process steps through a shallow copy of sc pointing at
+// a private scratch recorder, so concurrent expansions never share the
+// mutable footprint map; everything else in sc is read-only during a
+// round.
 func expandState(sc *stepCtx, cfg *AConfig) aExpansion {
 	e := aExpansion{enabled: cfg.enabled()}
 	if len(e.enabled) == 0 {

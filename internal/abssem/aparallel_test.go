@@ -1,7 +1,6 @@
 package abssem
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,30 +22,30 @@ import (
 func sameResult(t *testing.T, seq, par *Result) {
 	t.Helper()
 	if par.States != seq.States {
-		t.Errorf("states: parallel %d != sequential %d", par.States, seq.States)
+		t.Errorf("states: parallel %d != inline %d", par.States, seq.States)
 	}
 	if par.Visits != seq.Visits {
-		t.Errorf("visits: parallel %d != sequential %d", par.Visits, seq.Visits)
+		t.Errorf("visits: parallel %d != inline %d", par.Visits, seq.Visits)
 	}
 	if par.TerminalCount != seq.TerminalCount {
-		t.Errorf("terminals: parallel %d != sequential %d", par.TerminalCount, seq.TerminalCount)
+		t.Errorf("terminals: parallel %d != inline %d", par.TerminalCount, seq.TerminalCount)
 	}
 	if par.MayError != seq.MayError {
-		t.Errorf("mayError: parallel %v != sequential %v", par.MayError, seq.MayError)
+		t.Errorf("mayError: parallel %v != inline %v", par.MayError, seq.MayError)
 	}
 	if par.Truncated != seq.Truncated {
-		t.Errorf("truncated: parallel %v != sequential %v", par.Truncated, seq.Truncated)
+		t.Errorf("truncated: parallel %v != inline %v", par.Truncated, seq.Truncated)
 	}
 	switch {
 	case (par.Terminal == nil) != (seq.Terminal == nil):
-		t.Errorf("terminal store: parallel %v != sequential %v", par.Terminal, seq.Terminal)
+		t.Errorf("terminal store: parallel %v != inline %v", par.Terminal, seq.Terminal)
 	case par.Terminal != nil:
 		if !par.Terminal.Eq(seq.Terminal) || par.Terminal.String() != seq.Terminal.String() {
-			t.Errorf("terminal store: parallel %s != sequential %s", par.Terminal, seq.Terminal)
+			t.Errorf("terminal store: parallel %s != inline %s", par.Terminal, seq.Terminal)
 		}
 	}
 	if len(par.at) != len(seq.at) {
-		t.Errorf("invariant map: parallel %d points != sequential %d", len(par.at), len(seq.at))
+		t.Errorf("invariant map: parallel %d points != inline %d", len(par.at), len(seq.at))
 	}
 	for id, want := range seq.at {
 		got := par.at[id]
@@ -55,12 +54,12 @@ func sameResult(t *testing.T, seq, par *Result) {
 			continue
 		}
 		if !got.Eq(want) || got.String() != want.String() {
-			t.Errorf("invariant at node %d: parallel %s != sequential %s", id, got, want)
+			t.Errorf("invariant at node %d: parallel %s != inline %s", id, got, want)
 		}
 	}
 	switch {
 	case (par.foot == nil) != (seq.foot == nil):
-		t.Errorf("footprints: parallel %v != sequential %v", par.foot != nil, seq.foot != nil)
+		t.Errorf("footprints: parallel %v != inline %v", par.foot != nil, seq.foot != nil)
 	case par.foot != nil:
 		if !reflect.DeepEqual(par.foot.m, seq.foot.m) {
 			t.Error("footprint maps differ")
@@ -68,21 +67,16 @@ func sameResult(t *testing.T, seq, par *Result) {
 	}
 }
 
-// analyzeAt runs prog at the given worker count. Workers=1 short-circuits
-// to the sequential loop in Analyze, so it drives the parallel engine's
-// single-worker inline path directly to cover that too.
+// analyzeAt runs prog at the given worker count.
 func analyzeAt(prog *lang.Program, opts Options, workers int) *Result {
 	opts.Workers = workers
-	if workers == 1 {
-		opts.fill()
-		return analyzeParallel(context.Background(), prog, opts)
-	}
 	return Analyze(prog, opts)
 }
 
-// The parallel abstract fixpoint must reproduce the sequential engine's
-// Result bit-for-bit — including the deterministic metrics counters — at
-// 1, 2, 4, 8, and GOMAXPROCS workers, across domains and workload shapes.
+// The parallel abstract fixpoint must reproduce the inline (0-worker)
+// run's Result bit-for-bit — including the deterministic metrics
+// counters — at 1, 2, 4, 8, and GOMAXPROCS workers, across domains and
+// workload shapes.
 // (CI runs this under -race; the workers share the step context and the
 // round's state snapshots, so the race detector exercises the "workers
 // only read, merge only writes" discipline.)
@@ -112,7 +106,7 @@ func TestParallelMatchesSequentialAbstract(t *testing.T) {
 					got := mpar.Snapshot().DeterministicCounters()
 					want := mseq.Snapshot().DeterministicCounters()
 					if !reflect.DeepEqual(got, want) {
-						t.Errorf("workers=%d: deterministic counters differ:\n  parallel   %v\n  sequential %v",
+						t.Errorf("workers=%d: deterministic counters differ:\n  parallel   %v\n  inline     %v",
 							workers, got, want)
 					}
 				}

@@ -18,7 +18,7 @@ import (
 
 // One shared sched.Pool must serve consecutive Analyze calls — and mixed
 // Explore/Analyze sequences, the CLI pattern — with results identical to
-// the sequential engines, then release every goroutine on Close.
+// the inline engines, then release every goroutine on Close.
 func TestSharedPoolAcrossEngines(t *testing.T) {
 	prog := workloads.Philosophers(3)
 	before := runtime.NumGoroutine()
@@ -34,7 +34,7 @@ func TestSharedPoolAcrossEngines(t *testing.T) {
 	eseq := explore.Explore(prog, explore.Options{Reduction: explore.Full})
 	epar := explore.Explore(prog, explore.Options{Reduction: explore.Full, Workers: 4, Pool: pool})
 	if epar.States != eseq.States || epar.Edges != eseq.Edges {
-		t.Errorf("concrete explorer on the shared pool: %d/%d != sequential %d/%d",
+		t.Errorf("concrete explorer on the shared pool: %d/%d != inline %d/%d",
 			epar.States, epar.Edges, eseq.States, eseq.Edges)
 	}
 	// And the abstract engine again, after the concrete one used the pool.
@@ -88,7 +88,7 @@ func TestPrivatePoolNoGoroutineLeak(t *testing.T) {
 // (sched.DepRounds). The tests below interleave the two on one pool.
 
 // exploreMatches runs the concrete explorer on pool and asserts it
-// matches the sequential explorer under the same options.
+// matches the inline explorer under the same options.
 func exploreMatches(t *testing.T, prog *lang.Program, opts explore.Options, pool *sched.Pool) {
 	t.Helper()
 	seq := explore.Explore(prog, opts)
@@ -96,14 +96,14 @@ func exploreMatches(t *testing.T, prog *lang.Program, opts explore.Options, pool
 	opts.Pool = pool
 	par := explore.Explore(prog, opts)
 	if par.States != seq.States || par.Edges != seq.Edges || par.Truncated != seq.Truncated {
-		t.Errorf("explorer on the shared pool: %d/%d truncated=%v != sequential %d/%d truncated=%v",
+		t.Errorf("explorer on the shared pool: %d/%d truncated=%v != inline %d/%d truncated=%v",
 			par.States, par.Edges, par.Truncated, seq.States, seq.Edges, seq.Truncated)
 	}
 }
 
 // Every domain x workload case on a pool that serves the explorer's
 // pipeline before and between the abstract runs: the abstract Result
-// and its deterministic counters stay bit-identical to sequential.
+// and its deterministic counters stay bit-identical to the inline run.
 func TestDepMatchesSequentialAbstract(t *testing.T) {
 	domains := map[string]absdom.NumDomain{
 		"const":    absdom.ConstDomain{},
@@ -134,7 +134,7 @@ func TestDepMatchesSequentialAbstract(t *testing.T) {
 						got := mpar.Snapshot().DeterministicCounters()
 						want := mseq.Snapshot().DeterministicCounters()
 						if !reflect.DeepEqual(got, want) {
-							t.Errorf("workers=%d run=%d: deterministic counters differ:\n  parallel   %v\n  sequential %v",
+							t.Errorf("workers=%d run=%d: deterministic counters differ:\n  parallel   %v\n  inline     %v",
 								workers, run, got, want)
 						}
 					}
@@ -170,7 +170,7 @@ func TestDepRandomAbstract(t *testing.T) {
 }
 
 // Both engines cut short on one pool, alternately: each abstract
-// MaxStates cut still lands on the sequential engine's discovery.
+// MaxStates cut still lands on the inline engine's discovery.
 func TestDepTruncationMatchesAbstract(t *testing.T) {
 	prog := workloads.Philosophers(3)
 	pool := sched.NewPool(4)
@@ -191,7 +191,7 @@ func TestDepTruncationMatchesAbstract(t *testing.T) {
 
 // A shared pool through consecutive abstract runs, an abstract
 // truncation, the explorer's pipeline, and a complete fixpoint: results
-// match the sequential engines and Close releases every goroutine.
+// match the inline engines and Close releases every goroutine.
 func TestDepSharedPoolAndTruncationShutdown(t *testing.T) {
 	prog := workloads.Philosophers(3)
 	before := runtime.NumGoroutine()

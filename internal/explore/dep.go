@@ -8,18 +8,20 @@ import (
 	"psa/internal/sem"
 )
 
-// exploreDep is the multi-worker variant of ExploreFrom: the same BFS
-// generation as the sequential loop, run on sched.DepRounds so no level
-// barrier exists. Each frontier entry becomes one task in sequential
-// discovery order. Workers expand tasks (enabledness, stubborn sets,
-// firing, canonical encoding or fingerprinting) as soon as they are
-// published — freely crossing BFS level boundaries — and the serial
-// merge chain replays the sequential explorer's bookkeeping in strict
-// task order. One deep coarsened run therefore never stalls a whole
-// level: successors of already-merged entries are being expanded while
-// the straggler is still running. It is the explorer's only parallel
-// loop: leveled rounds on sched.Rounds measured slower for this engine
-// (DESIGN.md §7).
+// exploreDep is the explorer's one worklist loop: BFS generation run on
+// sched.DepRounds, so no level barrier exists. Each frontier entry
+// becomes one task in discovery order. Workers expand tasks
+// (enabledness, stubborn sets, firing, canonical encoding or
+// fingerprinting) as soon as they are published — freely crossing BFS
+// level boundaries — and the serial merge chain does the BFS
+// bookkeeping in strict task order. One deep coarsened run therefore
+// never stalls a whole level: successors of already-merged entries are
+// being expanded while the straggler is still running. Leveled rounds
+// on sched.Rounds measured slower for this engine (DESIGN.md §7).
+//
+// At 0 or 1 workers the executor runs on the nil pool, which performs
+// expand, own, and merge inline for one task after another: the plain
+// sequential BFS.
 //
 // State identity is resolved in a serial "own" chain between expansion
 // and merge: the visited set (in fingerprint mode an fpSet internally
@@ -29,18 +31,17 @@ import (
 // is the deterministic cross-shard reconciliation: which worker
 // computed an identity never matters, because insertion order — and
 // therefore dedup outcome, discovery-parent attribution, and
-// next-frontier order — replays the sequential explorer's verbatim.
-// The own chain runs ahead of the merge, so on a truncated run it may
-// insert identities the sequential explorer never reached; that
-// over-insertion is invisible in Result and in every deterministic
-// counter (freshness verdicts of merged entries depend only on prior
-// entries in the same order) and shows up only in the perf-only
-// visited_bytes gauge.
+// next-frontier order — is the inline run's verbatim. With workers the
+// own chain runs ahead of the merge, so on a truncated run it may
+// insert identities the merge never reached; that over-insertion is
+// invisible in Result and in every deterministic counter (freshness
+// verdicts of merged entries depend only on prior entries in the same
+// order) and shows up only in the perf-only visited_bytes gauge.
 //
 // All Result fields, the sink event stream, and every deterministic
 // metrics counter — including the per-level stats and MaxFrontier,
-// reconstructed from the same wave countdown the sequential loop uses —
-// are bit-identical to the sequential explorer's at any worker count.
+// reconstructed from a FIFO queue's wave countdown — are bit-identical
+// at any worker count.
 // Cancellation rides dep.RunContext: the merge chain stops before its
 // next task once ctx fires, in-flight expansions drain, and the partial
 // Result is coherent for the merged prefix — the same cut shape as
@@ -49,8 +50,8 @@ import (
 // truncated run).
 func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 	pool := opts.Pool
-	if pool == nil {
-		pool = sched.NewPool(opts.Workers)
+	if pool == nil || opts.Workers == 0 || opts.Workers == 1 {
+		pool = sched.ForWorkers(opts.Workers)
 		defer pool.Close()
 	}
 	m := opts.Metrics
@@ -103,38 +104,39 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 		if opts.Reduction == Stubborn {
 			expand = stubbornSet(cur.cfg, s.enabled, sm)
 		}
+		// A coarsened run may only absorb a critical action beyond its
+		// first step under FULL expansion: with stubborn sets the fired
+		// transition must stay within the access set the stubborn check
+		// vetted (the first action), or interleavings are lost.
 		absorbLateCritical := opts.Reduction == Full
-		for _, pi := range expand {
-			step, absorbed := fire(cur.cfg, pi, opts, absorbLateCritical)
-			s.steps = append(s.steps, step)
+		s.fired = make([]firedStep, len(expand))
+		for j, pi := range expand {
+			f := &s.fired[j]
+			f.step, f.absorbed = fire(cur.cfg, pi, opts, absorbLateCritical)
 			if ky.exact {
-				s.keys = append(s.keys, ky.keyOf(step.Config))
+				f.key = ky.keyOf(f.step.Config)
 			} else {
-				s.fps = append(s.fps, ky.fpOf(step.Config))
+				f.fp = ky.fpOf(f.step.Config)
 			}
-			s.absorbed = append(s.absorbed, absorbed)
 		}
 	}
 
 	// The own chain: serial, strict task order, sole toucher of the
 	// visited set. Runs concurrently with merges of earlier tasks.
 	own := func(i int, cur *item, s *depSlot) {
-		if s.terminal {
-			return
-		}
-		s.fresh = make([]bool, len(s.steps))
-		for j := range s.steps {
+		for j := range s.fired {
+			f := &s.fired[j]
 			if ky.exact {
-				s.fresh[j] = vis.addKey(s.keys[j])
+				f.fresh = vis.addKey(f.key)
 			} else {
-				s.fresh[j] = vis.addFP(s.fps[j])
+				f.fresh = vis.addFP(f.fp)
 			}
 		}
 	}
 
-	// total counts published tasks; total-i is the sequential engine's
-	// len(queue)-head at the pop of task i, which drives the level
-	// countdown and MaxFrontier.
+	// total counts published tasks; total-i is the frontier size (a FIFO
+	// queue's len(queue)-head) at the pop of task i, which drives the
+	// level countdown and MaxFrontier.
 	total := 1
 	levelRemaining := 1
 	m.BeginLevel(1)
@@ -171,13 +173,15 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 			reportCoEnabled(cur.cfg, s.enabled, opts.Sink)
 		}
 		if opts.Reduction == Stubborn {
-			countStubbornDecision(m, len(s.steps), len(s.enabled))
+			countStubbornDecision(m, len(s.fired), len(s.enabled))
 		}
-		for j, step := range s.steps {
+		for j := range s.fired {
+			f := &s.fired[j]
+			step := f.step
 			res.Edges++
 			m.Inc(metrics.TransitionsFired)
 			m.Inc(metrics.StatesGenerated)
-			m.Add(metrics.CoarsenedSteps, int64(s.absorbed[j]))
+			m.Add(metrics.CoarsenedSteps, int64(f.absorbed))
 			if opts.Sink != nil {
 				opts.Sink.Transition(step)
 			}
@@ -185,16 +189,12 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 				res.Events = append(res.Events, step.Events...)
 				res.Allocs = append(res.Allocs, step.Allocs...)
 			}
-			var k sem.Key
-			if ky.exact {
-				k = s.keys[j]
-			}
-			fresh := s.fresh[j]
+			k := f.key // empty in fingerprint mode
 			if res.Graph != nil {
 				res.Graph.Nodes[cur.key].Out = append(res.Graph.Nodes[cur.key].Out,
 					Edge{To: k, Proc: step.Proc, Stmt: describeStep(step)})
 			}
-			if fresh {
+			if f.fresh {
 				res.States++
 				m.Inc(metrics.StatesUnique)
 				if res.Graph != nil {
@@ -225,18 +225,22 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 }
 
 // depSlot is one task's precomputed results: the enabled set, the fired
-// steps with their state identities (keys in exact mode, fingerprints
-// otherwise), the coarsened micro-step counts, the lazily-exact terminal
-// key in fingerprint mode, and the own chain's freshness verdict per
-// fired transition — everything the serial merge needs to replay the
-// sequential explorer's bookkeeping.
+// transitions, and the lazily-exact terminal key in fingerprint mode —
+// everything the serial merge needs for the task's bookkeeping.
 type depSlot struct {
 	terminal bool
 	enabled  []int
-	steps    []*sem.StepResult
-	keys     []sem.Key         // exact mode
-	fps      []sem.Fingerprint // fingerprint mode
-	absorbed []int             // coarsened micro-steps per fired transition
+	fired    []firedStep
 	tkey     sem.Key
-	fresh    []bool
+}
+
+// firedStep is one fired transition: the step, its state identity (key
+// in exact mode, fingerprint otherwise), the coarsened micro-steps it
+// absorbed, and the own chain's freshness verdict.
+type firedStep struct {
+	step     *sem.StepResult
+	key      sem.Key         // exact mode
+	fp       sem.Fingerprint // fingerprint mode
+	absorbed int
+	fresh    bool
 }

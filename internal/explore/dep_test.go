@@ -17,9 +17,9 @@ import (
 var parallelWorkers = []int{2, 4, 8, runtime.GOMAXPROCS(0)}
 
 // matchesSequential runs the configuration mk builds under opts once
-// sequentially and once at each worker count, and asserts the parallel
-// run is indistinguishable from the sequential one: every Result count
-// (MaxFrontier included), the terminal and error sets, the truncation
+// inline (0 workers) and once at each worker count, and asserts the
+// parallel run is indistinguishable from the inline one: every Result
+// count (MaxFrontier included), the terminal and error sets, the truncation
 // flag, graph shape, the ordered sink event stream, every deterministic
 // metrics counter, and the per-level stats. opts must not set Workers,
 // Sink, or Metrics.
@@ -38,28 +38,28 @@ func matchesSequential(t *testing.T, mk func() *sem.Config, opts Options, worker
 	for _, w := range workers {
 		par, parSink, parSnap := run(w)
 		if par.States != seq.States || par.Edges != seq.Edges || par.MaxFrontier != seq.MaxFrontier {
-			t.Errorf("workers=%d: states/edges/maxFrontier %d/%d/%d != sequential %d/%d/%d", w,
+			t.Errorf("workers=%d: states/edges/maxFrontier %d/%d/%d != inline %d/%d/%d", w,
 				par.States, par.Edges, par.MaxFrontier, seq.States, seq.Edges, seq.MaxFrontier)
 		}
 		if par.Truncated != seq.Truncated || par.Cancelled {
-			t.Errorf("workers=%d: truncated=%v cancelled=%v, sequential truncated=%v",
+			t.Errorf("workers=%d: truncated=%v cancelled=%v, inline truncated=%v",
 				w, par.Truncated, par.Cancelled, seq.Truncated)
 		}
 		if !reflect.DeepEqual(par.TerminalStoreSet(), seq.TerminalStoreSet()) {
 			t.Errorf("workers=%d: terminal sets differ", w)
 		}
 		if len(par.Errors) != len(seq.Errors) {
-			t.Errorf("workers=%d: %d error states, sequential %d", w, len(par.Errors), len(seq.Errors))
+			t.Errorf("workers=%d: %d error states, inline %d", w, len(par.Errors), len(seq.Errors))
 		}
 		if !reflect.DeepEqual(par.Events, seq.Events) || !reflect.DeepEqual(par.Allocs, seq.Allocs) {
 			t.Errorf("workers=%d: collected events differ", w)
 		}
 		if !reflect.DeepEqual(parSink.events, seqSink.events) {
-			t.Errorf("workers=%d: sink stream diverges from sequential (%d vs %d events)",
+			t.Errorf("workers=%d: sink stream diverges from inline (%d vs %d events)",
 				w, len(parSink.events), len(seqSink.events))
 		}
 		if got, want := parSnap.DeterministicCounters(), seqSnap.DeterministicCounters(); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: deterministic counters differ:\n  parallel   %v\n  sequential %v", w, got, want)
+			t.Errorf("workers=%d: deterministic counters differ:\n  parallel   %v\n  inline     %v", w, got, want)
 		}
 		if got, want := stripNanos(parSnap.Levels), stripNanos(seqSnap.Levels); !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: level stats differ\n got %+v\nwant %+v", w, got, want)
@@ -69,13 +69,13 @@ func matchesSequential(t *testing.T, mk func() *sem.Config, opts Options, worker
 				t.Errorf("workers=%d: graph inconsistent", w)
 			}
 			if got, want := len(par.Graph.Divergent()), len(seq.Graph.Divergent()); got != want {
-				t.Errorf("workers=%d: divergent: parallel %d != sequential %d", w, got, want)
+				t.Errorf("workers=%d: divergent: parallel %d != inline %d", w, got, want)
 			}
 		}
 	}
 }
 
-// The parallel explorer must reproduce the sequential explorer's numbers
+// The parallel explorer must reproduce the inline explorer's numbers
 // exactly — states, edges, MaxFrontier, terminal sets, graph shape, sink
 // stream, deterministic counters, and per-level stats — at every worker
 // count.
@@ -107,7 +107,7 @@ func TestDepMatchesSequential(t *testing.T) {
 
 // The same cases back to back on one shared sched.Pool (the CLI and
 // service pattern): a pool that just served one exploration must leave
-// the next indistinguishable from the sequential explorer.
+// the next indistinguishable from the inline explorer.
 func TestParallelMatchesSequential(t *testing.T) {
 	progs := map[string]Options{
 		"fig2-full":          {Reduction: Full},
@@ -175,7 +175,7 @@ func TestParallelCorpus(t *testing.T) {
 	}
 }
 
-// The merge chain must replay the sequential sink stream verbatim, not
+// The merge chain must replay the inline sink stream verbatim, not
 // merely the same multiset (orderedSink is the event-for-event recorder
 // from metrics_test.go), with events collected.
 func TestDepSinkStreamIsSequential(t *testing.T) {
@@ -197,7 +197,7 @@ func TestParallelSinkSeesEverything(t *testing.T) {
 	}
 }
 
-// Truncated runs must equal the sequential truncated run exactly: the
+// Truncated runs must equal the inline truncated run exactly: the
 // cut falls on the same discovery, and the explored prefix — counts,
 // terminals, errors — matches. The own chain's over-insertions past the
 // cut must never leak into the Result.
@@ -212,7 +212,7 @@ func TestDepTruncationMatchesSequential(t *testing.T) {
 }
 
 // The MaxConfigs cut under stubborn-set reduction with a kept graph: the
-// truncated graph, terminals, and errors match the sequential cut.
+// truncated graph, terminals, and errors match the inline cut.
 func TestParallelTruncation(t *testing.T) {
 	mk := func() *sem.Config { return sem.NewConfig(workloads.Philosophers(4)) }
 	for _, max := range []int{50, 200} {

@@ -51,8 +51,8 @@ func (r Reduction) String() string {
 // Zero-value audit (the abssem.Options defaulting-bug sweep): every
 // integer field here treats 0 as "use the default", and no meaningful
 // boundary value is swallowed by that — MaxConfigs has no sensible
-// bound below 1, and Workers already gives 0/1 (sequential) and
-// negative (GOMAXPROCS) explicit meanings. New limit fields with a
+// bound below 1, and Workers already gives 0/1 (inline) and negative
+// (GOMAXPROCS) explicit meanings. New limit fields with a
 // meaningful 0 must follow abssem's convention: 0 defaults, negative
 // requests the boundary 0.
 type Options struct {
@@ -82,18 +82,18 @@ type Options struct {
 	// fuse with probability ~n²/2¹²⁹ — see sem.Fingerprint. KeepGraph
 	// implies exact keys, since graph nodes are addressed by key.
 	ExactKeys bool
-	// Workers > 1 explores with that many goroutines on the
-	// dependency-driven pipeline (dep.go); 0 or 1 is sequential and a
-	// negative count uses GOMAXPROCS. Counts, result sets, discovery
-	// parents, MaxFrontier, per-level stats, and the sink event stream
-	// are all identical to the sequential explorer's.
+	// Workers is the number of goroutines the dependency-driven
+	// pipeline (dep.go) expands on: 0 or 1 runs it inline on the
+	// caller's goroutine, a negative count uses GOMAXPROCS. Counts,
+	// result sets, discovery parents, MaxFrontier, per-level stats, and
+	// the sink event stream are identical at every count.
 	Workers int
 	// Pool, when non-nil, is the shared scheduler pool (internal/sched)
 	// parallel exploration runs on: its worker count governs scheduling,
 	// the caller keeps ownership (the explorer never closes it), and
 	// consecutive Explore/Analyze calls may reuse it to amortize worker
-	// startup. Nil makes each parallel exploration run a private pool
-	// sized by Workers. Ignored on sequential runs.
+	// startup. Nil makes each multi-worker exploration run a private
+	// pool sized by Workers. Ignored when Workers is 0 or 1.
 	Pool *sched.Pool
 	// Sink, when non-nil, receives instrumentation callbacks during
 	// exploration regardless of CollectEvents.
@@ -182,170 +182,7 @@ func ExploreFromContext(ctx context.Context, c0 *sem.Config, opts Options) *Resu
 	if opts.MaxConfigs <= 0 {
 		opts.MaxConfigs = 1 << 20
 	}
-	if opts.Workers > 1 || opts.Workers < 0 {
-		return exploreDep(ctx, c0, opts)
-	}
-	// done is nil for a never-cancellable context, keeping the hot loop's
-	// cancellation probe a single nil check.
-	done := ctx.Done()
-	m := opts.Metrics
-	defer m.Phase("explore")()
-	var sm *sem.Summaries
-	if opts.Reduction == Stubborn {
-		sm = sem.NewSummaries(c0.Prog)
-	}
-	res := &Result{Terminals: map[sem.Key]*sem.Config{}}
-	if opts.KeepGraph {
-		res.Graph = &Graph{Nodes: map[sem.Key]*Node{}}
-	}
-	ky := newKeyer(opts)
-	vis := newVisited(ky.exact)
-	defer recordVisitedStats(m, vis)()
-
-	queue := make([]item, 0, 64)
-	head := 0
-	if ky.exact {
-		k0 := ky.keyOf(c0)
-		vis.addKey(k0)
-		queue = append(queue, item{c0, k0})
-		if res.Graph != nil {
-			res.Graph.Nodes[k0] = &Node{Key: k0, Index: 0}
-			res.Graph.Order = append(res.Graph.Order, k0)
-		}
-	} else {
-		vis.addFP(ky.fpOf(c0))
-		queue = append(queue, item{cfg: c0})
-	}
-	res.States = 1
-	m.Inc(metrics.StatesUnique)
-
-	// The FIFO queue visits configurations in BFS-level order, so level
-	// boundaries fall where the countdown of the current wave hits zero.
-	levelRemaining := len(queue)
-	m.BeginLevel(len(queue))
-	for head < len(queue) {
-		if done != nil {
-			select {
-			case <-done:
-				// Cancelled: cut exactly like MaxConfigs truncation — the
-				// artifacts already collected describe the explored prefix.
-				res.Cancelled = true
-				m.EndLevel()
-				return res
-			default:
-			}
-		}
-		if levelRemaining == 0 {
-			m.EndLevel()
-			levelRemaining = len(queue) - head
-			m.BeginLevel(levelRemaining)
-		}
-		levelRemaining--
-		if size := len(queue) - head; size > res.MaxFrontier {
-			res.MaxFrontier = size
-		}
-		// Pop through a head index, zeroing the vacated slot: walking the
-		// slice with queue = queue[1:] would pin every popped *sem.Config
-		// (and key) in the backing array until exploration ends. Once the
-		// dead prefix dominates a large queue, compact the live tail to
-		// the front so append can reuse the space.
-		cur := queue[head]
-		queue[head] = item{}
-		head++
-		if head >= 1024 && head*2 >= len(queue) {
-			n := copy(queue, queue[head:])
-			stale := queue[n:]
-			for i := range stale {
-				stale[i] = item{}
-			}
-			queue = queue[:n]
-			head = 0
-		}
-
-		enabled := cur.cfg.Enabled()
-		if len(enabled) == 0 {
-			tk := cur.key
-			if !ky.exact {
-				tk = ky.keyOf(cur.cfg)
-			}
-			res.Terminals[tk] = cur.cfg
-			m.Inc(metrics.TerminalsSeen)
-			if cur.cfg.Err != "" {
-				res.Errors = append(res.Errors, cur.cfg)
-				m.Inc(metrics.ErrorsSeen)
-			}
-			if res.Graph != nil {
-				n := res.Graph.Nodes[cur.key]
-				n.Terminal = true
-				n.Err = cur.cfg.Err
-			}
-			continue
-		}
-
-		if opts.Sink != nil {
-			reportCoEnabled(cur.cfg, enabled, opts.Sink)
-		}
-
-		expand := enabled
-		if opts.Reduction == Stubborn {
-			expand = stubbornSet(cur.cfg, enabled, sm)
-			countStubbornDecision(m, len(expand), len(enabled))
-		}
-
-		// A coarsened run may only absorb a critical action beyond its
-		// first step under FULL expansion: with stubborn sets the fired
-		// transition must stay within the access set the stubborn check
-		// vetted (the first action), or interleavings are lost.
-		absorbLateCritical := opts.Reduction == Full
-
-		for _, pi := range expand {
-			step, absorbed := fire(cur.cfg, pi, opts, absorbLateCritical)
-			res.Edges++
-			m.Inc(metrics.TransitionsFired)
-			m.Inc(metrics.StatesGenerated)
-			m.Add(metrics.CoarsenedSteps, int64(absorbed))
-			if opts.Sink != nil {
-				opts.Sink.Transition(step)
-			}
-			if opts.CollectEvents {
-				res.Events = append(res.Events, step.Events...)
-				res.Allocs = append(res.Allocs, step.Allocs...)
-			}
-			var k sem.Key
-			var fresh bool
-			if ky.exact {
-				k = ky.keyOf(step.Config)
-				fresh = vis.addKey(k)
-			} else {
-				fresh = vis.addFP(ky.fpOf(step.Config))
-			}
-			if res.Graph != nil {
-				res.Graph.Nodes[cur.key].Out = append(res.Graph.Nodes[cur.key].Out,
-					Edge{To: k, Proc: step.Proc, Stmt: describeStep(step)})
-			}
-			if fresh {
-				res.States++
-				m.Inc(metrics.StatesUnique)
-				if res.Graph != nil {
-					res.Graph.Nodes[k] = &Node{
-						Key: k, Index: len(res.Graph.Order),
-						Parent: cur.key, ParentProc: step.Proc, ParentStmt: describeStep(step),
-					}
-					res.Graph.Order = append(res.Graph.Order, k)
-				}
-				if res.States >= opts.MaxConfigs {
-					res.Truncated = true
-					m.EndLevel()
-					return res
-				}
-				queue = append(queue, item{step.Config, k})
-			} else {
-				m.Inc(metrics.DedupHits)
-			}
-		}
-	}
-	m.EndLevel()
-	return res
+	return exploreDep(ctx, c0, opts)
 }
 
 // countStubbornDecision classifies the outcome of one stubborn-set
@@ -396,9 +233,8 @@ func newKeyer(opts Options) keyer {
 	return k
 }
 
-// visited is the dedup set behind both explorers, in either key mode.
-// It is only ever touched from serial code (the sequential loop or the
-// parallel explorer's serial own chain), so it needs no locking.
+// visited is the explorer's dedup set, in either key mode. Only the
+// pipeline's serial own chain touches it, so it needs no locking.
 type visited struct {
 	keys     map[sem.Key]bool
 	keyBytes int64
@@ -458,8 +294,8 @@ func recordVisitedStats(m *metrics.Registry, vis *visited) func() {
 
 // fire executes one (possibly coarsened) transition of process pi and
 // reports how many extra micro-steps the run absorbed. The count is
-// returned rather than recorded so each explorer can credit it in its
-// own (serial, deterministic) accounting loop.
+// returned rather than recorded so the serial merge can credit it in
+// deterministic order.
 func fire(c *sem.Config, pi int, opts Options, absorbLateCritical bool) (*sem.StepResult, int) {
 	// Nothing downstream reads the per-access event stream unless a sink
 	// or event collection asked for it, so skip materializing it (the

@@ -97,7 +97,7 @@ func TestMetricsMatchResult(t *testing.T) {
 // Enabling metrics must not perturb the parallel explorer: for workers
 // in {1, 4, GOMAXPROCS} the state/terminal/edge counts, the full ordered
 // sink event stream, every worker-independent counter, and the per-level
-// stats must be identical to the sequential explorer's. Run under -race
+// stats must be identical to the inline explorer's. Run under -race
 // in CI, this is also the data-race check on the metrics hot path.
 func TestParallelMetricsDeterministic(t *testing.T) {
 	progs := map[string]struct {
@@ -135,7 +135,7 @@ func TestParallelMetricsDeterministic(t *testing.T) {
 				res := Explore(tc.prog, opts)
 
 				if res.States != ref.States || res.Edges != ref.Edges || len(res.Terminals) != len(ref.Terminals) {
-					t.Errorf("workers=%d: counts %d/%d/%d differ from sequential %d/%d/%d",
+					t.Errorf("workers=%d: counts %d/%d/%d differ from inline %d/%d/%d",
 						workers, res.States, res.Edges, len(res.Terminals),
 						ref.States, ref.Edges, len(ref.Terminals))
 				}
@@ -148,7 +148,7 @@ func TestParallelMetricsDeterministic(t *testing.T) {
 				}
 				for _, c := range counters {
 					if got, want := m.Get(c), refM.Get(c); got != want {
-						t.Errorf("workers=%d: counter %s = %d, sequential %d", workers, c, got, want)
+						t.Errorf("workers=%d: counter %s = %d, inline %d", workers, c, got, want)
 					}
 				}
 				if got, want := stripNanos(m.Snapshot().Levels), stripNanos(refSnap.Levels); !reflect.DeepEqual(got, want) {

@@ -20,7 +20,7 @@ func TestSharedPoolReuseAcrossExplores(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		par := Explore(workloads.Philosophers(3), Options{Reduction: Full, Workers: 4, Pool: pool})
 		if par.States != seq.States || par.Edges != seq.Edges {
-			t.Fatalf("run %d on shared pool: %d/%d != sequential %d/%d",
+			t.Fatalf("run %d on shared pool: %d/%d != inline %d/%d",
 				run, par.States, par.Edges, seq.States, seq.Edges)
 		}
 		if !reflect.DeepEqual(par.TerminalStoreSet(), seq.TerminalStoreSet()) {
@@ -45,7 +45,7 @@ func TestPoolCleanShutdownOnTruncation(t *testing.T) {
 	seq := Explore(workloads.Fig2(), Options{Reduction: Full})
 	par := Explore(workloads.Fig2(), Options{Reduction: Full, Workers: 4, Pool: pool})
 	if par.States != seq.States {
-		t.Fatalf("post-truncation reuse: %d states != sequential %d", par.States, seq.States)
+		t.Fatalf("post-truncation reuse: %d states != inline %d", par.States, seq.States)
 	}
 	pool.Close()
 	waitForGoroutineBaseline(t, before)

@@ -91,7 +91,7 @@ func TestTruncatedRunArtifacts(t *testing.T) {
 			t.Errorf("%s: truncated run has %d states, cap was 50", name, cut.States)
 		}
 		if cut.States != seqCut.States || cut.Edges != seqCut.Edges {
-			t.Errorf("%s: truncated run %d/%d != sequential cut %d/%d",
+			t.Errorf("%s: truncated run %d/%d != inline cut %d/%d",
 				name, cut.States, cut.Edges, seqCut.States, seqCut.Edges)
 		}
 		for _, k := range cut.TerminalStoreSet() {

@@ -77,12 +77,12 @@ const (
 	// engine's workers claimed outside their home stride (dynamic load
 	// balancing). Perf-only and scheduling-dependent.
 	AbsSteals
-	// AbsStaleRecomputes counts worklist entries the parallel abstract
-	// engine had to re-expand serially because a join earlier in the same
-	// round grew their value state after the workers snapshotted it. The
-	// count is a deterministic property of the round structure, but the
-	// sequential engine never recomputes, so it stays outside the
-	// deterministic counter set.
+	// AbsStaleRecomputes counts worklist entries the abstract engine had
+	// to re-expand serially because a join earlier in the same round grew
+	// their value state after the round snapshot. The count is a
+	// deterministic property of the round structure at any worker count,
+	// but a worklist that expands one entry at a time never recomputes,
+	// so it stays outside the deterministic counter set.
 	AbsStaleRecomputes
 	// PipelineFusedSinks counts sinks fed from a shared traversal by a
 	// pipeline.MultiSink (per fused run, one increment per sink beyond

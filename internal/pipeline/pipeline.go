@@ -62,26 +62,28 @@ import (
 // option structs; derive them via ExploreOptions/AbstractOptions and set
 // the extras on the result.
 //
-// The zero value is the historical default: full reduction, sequential,
-// default caps, fingerprinted visited set, no instrumentation.
+// The zero value is the historical default: full reduction, one
+// goroutine, default caps, fingerprinted visited set, no
+// instrumentation.
 type RunOptions struct {
 	// Reduction selects full or stubborn-set expansion for concrete
 	// exploration (default Full).
 	Reduction explore.Reduction
 	// Coarsen enables virtual coarsening of non-critical runs.
 	Coarsen bool
-	// Workers > 1 runs both engines with that many goroutines; 0 or 1 is
-	// sequential and a negative count uses GOMAXPROCS. Results and
-	// deterministic counters are identical at any count.
+	// Workers is the number of goroutines both engines run their
+	// executor on: 0 or 1 runs it inline on the caller's goroutine, a
+	// negative count uses GOMAXPROCS. Results and deterministic counters
+	// are identical at any count.
 	Workers int
 	// Sched is ignored. Each engine has exactly one parallel executor
 	// (the explorer the dependency-driven pipeline, the abstract engine
 	// leveled rounds — DESIGN.md §7), so there is nothing to select; the
 	// field stays only so existing callers keep compiling.
 	Sched sched.Scheduler
-	// Pool is the shared scheduler pool parallel runs execute on; the
-	// caller keeps ownership. Nil lets each parallel run spin a private
-	// pool sized by Workers.
+	// Pool is the shared scheduler pool multi-worker runs execute on;
+	// the caller keeps ownership. Nil lets each such run spin a private
+	// pool sized by Workers. Ignored when Workers is 0 or 1.
 	Pool *sched.Pool
 	// MaxConfigs caps distinct configurations: explore.Options.MaxConfigs
 	// for concrete runs, abssem.Options.MaxStates for abstract ones
@@ -158,12 +160,11 @@ func AbstractKey(o abssem.Options) string {
 // registration order. It implements explore.Sink; feed it to one
 // explore.Explore call in place of N separate explorations.
 //
-// Determinism: the explorer delivers sink callbacks from serial code (the
-// sequential loop or the parallel merge) in an order that is itself
-// bit-identical at any worker count, and MultiSink forwards each callback
-// to every sink synchronously, in order. Each sink therefore observes
-// exactly the stream it would have observed as the sole sink of its own
-// traversal.
+// Determinism: the explorer delivers sink callbacks from serial code (its
+// merge chain) in an order that is itself bit-identical at any worker
+// count, and MultiSink forwards each callback to every sink
+// synchronously, in order. Each sink therefore observes exactly the
+// stream it would have observed as the sole sink of its own traversal.
 //
 // Metrics: when a registry is attached, each sink's callback time
 // accumulates locally and flushes as its own phase ("sink:<name>") on

@@ -100,9 +100,9 @@ type depTask[P, T any] struct {
 //
 //   - expansion of task i depends on nothing (any worker, any order,
 //     as soon as the task is published);
-//   - the optional serial own stage of task i depends on expansion of i
-//     and own of i-1;
-//   - merge of task i depends on own/expansion of i and merge of i-1.
+//   - the serial own stage of task i depends on expansion of i and own
+//     of i-1;
+//   - merge of task i depends on own of i and merge of i-1.
 //
 // There is no level barrier: the caller's goroutine merges task i the
 // moment its predecessors in that order are done, while workers are
@@ -117,7 +117,10 @@ type depTask[P, T any] struct {
 //
 // The merger never depends on the pool: when the head task is still
 // unclaimed it expands it inline, so a Run completes even if every pool
-// worker is busy elsewhere (e.g. a shared pool running another engine).
+// worker is busy elsewhere (e.g. a shared pool running another engine),
+// and on the nil pool every stage runs inline on the caller's goroutine
+// in task order — the engine's sequential algorithm, with no goroutine
+// started.
 // The converse does not hold — a DepRounds run occupies its claimed
 // workers until the run finishes, so concurrent rounds on a shared pool
 // serialize behind it rather than interleave.
@@ -146,12 +149,11 @@ type depRun[P, T any] struct {
 	segs     []*[depSegSize]depTask[P, T]
 	total    int // published tasks
 	next     int // lowest unclaimed index; [0,next) are claimed
-	ownCur   int // next index the own chain will run (hasOwn only)
+	ownCur   int // next index the own chain will run
 	ownBusy  bool
 	finished bool // merger done (normal completion or early stop)
 	waitFor  int  // index the merger is blocked on; -1 when it is not
 	nw       int
-	hasOwn   bool
 	hooks    DepHooks
 }
 
@@ -168,14 +170,6 @@ func (r *depRun[P, T]) publishLocked(p P) {
 	t.st = depPublished
 	r.total++
 	r.moreWork.Signal()
-}
-
-// readyLocked reports whether the head task may merge.
-func (r *depRun[P, T]) readyLocked(t *depTask[P, T]) bool {
-	if r.hasOwn {
-		return t.st == depOwned
-	}
-	return t.st >= depExpanded
 }
 
 // advanceOwn drains the serial pre-merge chain: while consecutive tasks
@@ -254,20 +248,18 @@ func (r *depRun[P, T]) workerLoop(expand func(i int, p *P, slot *T), own func(i 
 				return
 			}
 		}
-		if r.hasOwn {
-			r.advanceOwn(own, -1)
-		}
+		r.advanceOwn(own, -1)
 	}
 }
 
 // Run executes the task graph seeded with the given payloads. expand
-// fills task i's slot from its payload (parallel, unordered); own, when
-// non-nil, is a serial stage running exactly once per task in strict
-// task order after its expansion and before its merge (engines put
-// order-sensitive shared state that the merge only reads — e.g. dedup
-// verdicts — here, so it pipelines off the merge goroutine); merge
-// consumes tasks in strict task order on the caller's goroutine and may
-// publish new tasks through emit (valid only during the merge callback).
+// fills task i's slot from its payload (parallel, unordered); own is a
+// serial stage running exactly once per task in strict task order after
+// its expansion and before its merge (engines put order-sensitive shared
+// state that the merge only reads — e.g. dedup verdicts — here, so it
+// pipelines off the merge goroutine); merge consumes tasks in strict
+// task order on the caller's goroutine and may publish new tasks through
+// emit (valid only during the merge callback).
 // A merge returning false stops the run immediately — the engines'
 // truncation cut: remaining tasks are dropped, in-flight expansions are
 // drained, and Run returns false after every worker has quiesced, so no
@@ -298,7 +290,7 @@ func (d *DepRounds[P, T]) RunContext(
 	merge func(i int, p *P, slot *T, emit func(P)) bool,
 ) bool {
 	done := ctx.Done()
-	r := &depRun[P, T]{nw: d.pool.Workers(), hasOwn: own != nil, waitFor: -1, hooks: d.hooks}
+	r := &depRun[P, T]{nw: d.pool.Workers(), waitFor: -1, hooks: d.hooks}
 	r.moreWork.L = &r.mu
 	r.headRdy.L = &r.mu
 	r.mu.Lock()
@@ -327,11 +319,13 @@ func (d *DepRounds[P, T]) RunContext(
 			return false
 		}
 	}
-	if done != nil {
+	if done != nil && d.pool != nil {
 		// The merger may be asleep on headRdy when ctx fires; this watcher
-		// delivers the wakeup. The broadcast runs under mu, so it cannot
-		// slip between the merger's cancellation check and its Wait (Wait
-		// releases mu only once the merger is registered on the cond).
+		// delivers the wakeup (on the nil pool it never sleeps: nothing
+		// but the merger itself ever holds the head). The broadcast runs
+		// under mu, so it cannot slip between the merger's cancellation
+		// check and its Wait (Wait releases mu only once the merger is
+		// registered on the cond).
 		stopWatch := make(chan struct{})
 		defer close(stopWatch)
 		go func() {
@@ -372,7 +366,7 @@ func (d *DepRounds[P, T]) RunContext(
 				break
 			}
 			t := r.task(head)
-			if r.readyLocked(t) {
+			if t.st == depOwned {
 				break
 			}
 			if t.st == depPublished {
@@ -387,7 +381,7 @@ func (d *DepRounds[P, T]) RunContext(
 				t.st = depExpanded
 				continue
 			}
-			if r.hasOwn && t.st == depExpanded && !r.ownBusy {
+			if t.st == depExpanded && !r.ownBusy {
 				r.mu.Unlock()
 				r.advanceOwn(own, head)
 				r.mu.Lock()
@@ -417,10 +411,15 @@ func (d *DepRounds[P, T]) RunContext(
 		// The merged task is dead: no other goroutine will ever touch an
 		// index below next/ownCur again, so release its payload and slot
 		// (frontier configurations would otherwise be pinned for the whole
-		// run — the sequential engines zero popped queue slots for the
-		// same reason).
+		// run), and once head leaves a segment drop the segment itself, so
+		// a run retains only the segments spanning [head, total).
 		*t = depTask[P, T]{}
 		head++
+		if head&depSegMask == 0 {
+			r.mu.Lock()
+			r.segs[head>>depSegBits-1] = nil
+			r.mu.Unlock()
+		}
 	}
 
 	r.mu.Lock()

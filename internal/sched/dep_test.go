@@ -41,6 +41,10 @@ func depSimSequential(seeds []uint64, budget int) (payloads, slots []uint64) {
 	return
 }
 
+// noOwn is the own stage of runs whose merge needs no serial pre-merge
+// work.
+func noOwn[P, T any](int, *P, *T) {}
+
 func TestDepRoundsMatchesSequentialReplay(t *testing.T) {
 	seeds := []uint64{3, 10, 40}
 	const budget = 3000
@@ -51,7 +55,7 @@ func TestDepRoundsMatchesSequentialReplay(t *testing.T) {
 		var gotP, gotS []uint64
 		ok := dep.Run(seeds,
 			func(i int, p *uint64, slot *uint64) { *slot = depSimExpand(*p) },
-			nil,
+			noOwn,
 			func(i int, p *uint64, slot *uint64, emit func(uint64)) bool {
 				if i != len(gotP) {
 					t.Fatalf("workers=%d: merge index %d out of order (merged %d)", workers, i, len(gotP))
@@ -154,7 +158,7 @@ func TestDepRoundsEarlyStopDrains(t *testing.T) {
 			inflight.Add(-1)
 			postReturn.Add(1)
 		},
-		nil,
+		noOwn,
 		func(i int, p *int, slot *int, emit func(int)) bool {
 			merges++
 			return merges < 10
@@ -185,7 +189,7 @@ func TestDepRoundsSharedPoolConcurrentRuns(t *testing.T) {
 		merged := 0
 		dep.Run([]int{1},
 			func(i int, p *int, slot *int) { *slot = *p },
-			nil,
+			noOwn,
 			func(i int, p *int, slot *int, emit func(int)) bool {
 				merged++
 				if merged < 2000 {
@@ -210,6 +214,42 @@ func TestDepRoundsSharedPoolConcurrentRuns(t *testing.T) {
 	}
 }
 
+// A merged task must stop costing memory: the store drops each segment
+// once the merge head leaves it, so a long chain retains only the
+// segments still in flight, not every task it ever published. The heap
+// is measured inside the last merge, while the run is still live.
+func TestDepRoundsReleasesMergedSegments(t *testing.T) {
+	const tasks = 100_000
+	type slot [64]int64 // 512 B, so 100k retained slots would be ~51 MB
+	for _, workers := range []int{1, 2} {
+		pool := ForWorkers(workers)
+		dep := NewDepRounds[int, slot](pool, DepHooks{})
+		var before, during runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ok := dep.Run([]int{0},
+			func(i int, p *int, s *slot) { s[0] = int64(*p) },
+			noOwn,
+			func(i int, p *int, s *slot, emit func(int)) bool {
+				if i+1 < tasks {
+					emit(i + 1)
+					return true
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&during)
+				return true
+			})
+		pool.Close()
+		if !ok {
+			t.Fatalf("workers=%d: chain did not complete", workers)
+		}
+		if growth := int64(during.HeapAlloc) - int64(before.HeapAlloc); growth > 8<<20 {
+			t.Errorf("workers=%d: heap grew %d MB over a %d-task chain; merged tasks are retained",
+				workers, growth>>20, tasks)
+		}
+	}
+}
+
 func TestDepRoundsEmptySeeds(t *testing.T) {
 	pool := NewPool(2)
 	defer pool.Close()
@@ -217,7 +257,7 @@ func TestDepRoundsEmptySeeds(t *testing.T) {
 	called := false
 	ok := dep.Run(nil,
 		func(i int, p *int, slot *int) { called = true },
-		nil,
+		noOwn,
 		func(i int, p *int, slot *int, emit func(int)) bool { called = true; return true })
 	if !ok || called {
 		t.Fatalf("empty run: ok=%v called=%v", ok, called)
@@ -248,7 +288,7 @@ func TestDepRoundsHooks(t *testing.T) {
 			time.Sleep(50 * time.Microsecond) // give pool workers a window to claim batches
 			*slot = i
 		},
-		nil,
+		noOwn,
 		func(i int, p *int, slot *int, emit func(int)) bool { return true })
 	if readyCalls.Load() == 0 || readyMax.Load() <= 0 {
 		t.Errorf("Ready hook not fed: calls=%d max=%d", readyCalls.Load(), readyMax.Load())

@@ -134,10 +134,11 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// ForWorkers maps a CLI-style worker-count request to a pool: nil for a
-// sequential request (0 or 1 — the engines won't dispatch to their
-// parallel paths anyway), GOMAXPROCS workers for a negative count, n
-// workers otherwise. The caller must Close the result (safe on nil).
+// ForWorkers maps a CLI-style worker-count request to a pool: nil for 0
+// or 1 (the engines then run their executor inline on the caller's
+// goroutine, ignoring any pool), GOMAXPROCS workers for a negative
+// count, n workers otherwise. The caller must Close the result (safe on
+// nil).
 func ForWorkers(n int) *Pool {
 	if n == 0 || n == 1 {
 		return nil
