@@ -171,6 +171,33 @@ func (s *Store) Widen(o *Store) *Store {
 	return ns
 }
 
+// JoinInPlace joins o into s by overwriting s's own entries, and
+// reports whether s grew. Only an entry of o not already below s's is
+// joined, so absorbing a store that adds nothing allocates nothing. s
+// must be exclusively owned by the caller — a result of Clone that was
+// never shared — because every other store is immutable.
+func (s *Store) JoinInPlace(o *Store) bool {
+	changed := false
+	for i, v := range o.globals {
+		if !v.Leq(s.globals[i]) {
+			s.globals[i] = s.globals[i].Join(v)
+			changed = true
+		}
+	}
+	for k, v := range o.heap {
+		w, ok := s.heap[k]
+		switch {
+		case !ok:
+			s.heap[k] = v
+			changed = true
+		case !v.Leq(w):
+			s.heap[k] = w.Join(v)
+			changed = true
+		}
+	}
+	return changed
+}
+
 // Leq reports pointwise ordering.
 func (s *Store) Leq(o *Store) bool {
 	for i := range s.globals {
@@ -179,7 +206,11 @@ func (s *Store) Leq(o *Store) bool {
 		}
 	}
 	for k, v := range s.heap {
-		if !v.Leq(o.Heap(k)) {
+		if w, ok := o.heap[k]; ok {
+			if !v.Leq(w) {
+				return false
+			}
+		} else if !v.IsBot() {
 			return false
 		}
 	}

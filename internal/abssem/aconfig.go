@@ -14,6 +14,7 @@ package abssem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -194,6 +195,14 @@ func cloneProcIn(c *AConfig, i int) *AProc {
 // joinInto joins the value state of src into dst (same control skeleton);
 // reports whether dst changed. When widen is set, numeric components
 // widen instead of joining.
+//
+// Every component is tested src ⊑ dst first and joined only when that
+// fails. A join or widening of something not below dst is an upper bound
+// that differs from dst, so the failed test alone decides "changed"; and
+// when the test holds, a ⊔ b = a and a ∇ b = a (the widening law
+// absdom's tests pin), so skipping the join leaves dst exactly as the
+// join would. In a converging fixpoint most joins add nothing, and then
+// joinInto allocates nothing.
 func (dst *AConfig) joinInto(src *AConfig, widen bool) bool {
 	changed := false
 	jv := func(a, b absdom.Value) absdom.Value {
@@ -206,36 +215,34 @@ func (dst *AConfig) joinInto(src *AConfig, widen bool) bool {
 		q := src.Procs[i]
 		for j, f := range p.Frames {
 			g := q.Frames[j]
-			for k := range f.Locals {
-				nv := jv(f.Locals[k], g.Locals[k])
-				if !nv.Eq(f.Locals[k]) {
-					f.Locals[k] = nv
+			for k, v := range g.Locals {
+				if !v.Leq(f.Locals[k]) {
+					f.Locals[k] = jv(f.Locals[k], v)
 					changed = true
 				}
 			}
 			if f.Pending != nil && g.Pending != nil {
-				nv := jv(f.Pending.val, g.Pending.val)
-				if !nv.Eq(f.Pending.val) {
-					f.Pending.val = nv
+				if !g.Pending.val.Leq(f.Pending.val) {
+					f.Pending.val = jv(f.Pending.val, g.Pending.val)
 					changed = true
 				}
-				if mergeDest(&f.Pending.dest, g.Pending.dest) {
+				if d, ok := mergeDest(f.Pending.dest, g.Pending.dest); ok {
+					f.Pending.dest = d
 					changed = true
 				}
 			}
-			if mergeDest(&f.Dest, g.Dest) {
+			if d, ok := mergeDest(f.Dest, g.Dest); ok {
+				f.Dest = d
 				changed = true
 			}
 		}
 	}
-	var ns *absdom.Store
-	if widen {
-		ns = dst.Store.Widen(src.Store)
-	} else {
-		ns = dst.Store.Join(src.Store)
-	}
-	if !ns.Eq(dst.Store) {
-		dst.Store = ns
+	if !src.Store.Leq(dst.Store) {
+		if widen {
+			dst.Store = dst.Store.Widen(src.Store)
+		} else {
+			dst.Store = dst.Store.Join(src.Store)
+		}
 		changed = true
 	}
 	if src.MayError && !dst.MayError {
@@ -245,33 +252,32 @@ func (dst *AConfig) joinInto(src *AConfig, widen bool) bool {
 	return changed
 }
 
-// mergeDest unions target sets of two dests with the same kind.
-func mergeDest(d *aDest, o aDest) bool {
+// mergeDest unions the target sets of two dests with the same kind and
+// reports whether d grew. The grown dest gets a fresh target slice: d.ts
+// may share its backing array with the dest of another frame (frame
+// copies copy dests by value), so appending to it in place could
+// overwrite a target that frame still holds.
+func mergeDest(d, o aDest) (aDest, bool) {
 	if d.kind != destTargets {
-		return false
+		return d, false
 	}
-	changed := false
 	if o.all && !d.all {
 		d.all = true
-		return true
+		return d, true
 	}
+	var ts []absdom.Target
 	for _, t := range o.ts {
-		found := false
-		for _, u := range d.ts {
-			if u == t {
-				found = true
-				break
-			}
-		}
-		if !found {
-			d.ts = append(d.ts, t)
-			changed = true
+		if !slices.Contains(d.ts, t) && !slices.Contains(ts, t) {
+			ts = append(ts, t)
 		}
 	}
-	if changed {
-		sort.Slice(d.ts, func(i, j int) bool { return d.ts[i].String() < d.ts[j].String() })
+	if ts == nil {
+		return d, false
 	}
-	return changed
+	ts = append(ts, d.ts...)
+	sort.Slice(ts, func(i, j int) bool { return ts[i].String() < ts[j].String() })
+	d.ts = ts
+	return d, true
 }
 
 // deepCopyValues returns a full private copy of the configuration so a

@@ -248,11 +248,10 @@ func AnalyzeContext(ctx context.Context, prog *lang.Program, opts Options) *Resu
 // value, but identical order makes the results bit-identical too).
 //
 // Stores entering res.at and res.Terminal are cloned on first
-// assignment: later joins allocate fresh stores anyway, but the first
-// hit used to alias the state table's live configuration store, so a
-// client mutating a returned invariant — or a future engine pass
-// re-joining a still-queued configuration — could corrupt analysis
-// state.
+// assignment, so the result owns them: later states join into them in
+// place (Store.JoinInPlace, which skips every entry already below the
+// accumulator), and no returned store aliases the state table's live
+// configuration stores.
 func (res *Result) collect(states map[ctrlSig]*aState, m *metrics.Registry) {
 	res.States = len(states)
 	m.Add(metrics.AbsStates, int64(len(states)))
@@ -270,7 +269,7 @@ func (res *Result) collect(states map[ctrlSig]*aState, m *metrics.Registry) {
 			}
 			if s := nextStmt(p); s != nil {
 				if cur, ok := res.at[s.NodeID()]; ok {
-					res.at[s.NodeID()] = cur.Join(stv.cfg.Store)
+					cur.JoinInPlace(stv.cfg.Store)
 				} else {
 					res.at[s.NodeID()] = stv.cfg.Store.Clone()
 				}
@@ -281,7 +280,7 @@ func (res *Result) collect(states map[ctrlSig]*aState, m *metrics.Registry) {
 			if res.Terminal == nil {
 				res.Terminal = stv.cfg.Store.Clone()
 			} else {
-				res.Terminal = res.Terminal.Join(stv.cfg.Store)
+				res.Terminal.JoinInPlace(stv.cfg.Store)
 			}
 			if stv.cfg.MayError {
 				res.MayError = true
