@@ -154,16 +154,15 @@ func clanAbstract(n int) int {
 	return n
 }
 
-// clone copies the configuration structure (frames deep, values shared).
+// clone copies the configuration shell: a new Procs slice whose
+// processes are shared with c.
 func (c *AConfig) clone() *AConfig {
-	nc := &AConfig{Store: c.Store, MayError: c.MayError}
-	nc.Procs = make([]*AProc, len(c.Procs))
-	for i, p := range c.Procs {
-		nc.Procs[i] = p
-	}
-	return nc
+	return &AConfig{Procs: slices.Clone(c.Procs), Store: c.Store, MayError: c.MayError}
 }
 
+// cloneProcIn replaces process i of c with a private copy — frames,
+// locals, control stack and pending write copied, arm data shared — and
+// returns the copy, which the caller may then mutate.
 func cloneProcIn(c *AConfig, i int) *AProc {
 	p := c.Procs[i]
 	np := &AProc{
@@ -203,6 +202,10 @@ func cloneProcIn(c *AConfig, i int) *AProc {
 // absdom's tests pin), so skipping the join leaves dst exactly as the
 // join would. In a converging fixpoint most joins add nothing, and then
 // joinInto allocates nothing.
+//
+// dst is a stored state, whose processes may be shared with other states
+// (see aState), so a process is copied with cloneProcIn before its first
+// write and the shared original is left as it was.
 func (dst *AConfig) joinInto(src *AConfig, widen bool) bool {
 	changed := false
 	jv := func(a, b absdom.Value) absdom.Value {
@@ -213,26 +216,36 @@ func (dst *AConfig) joinInto(src *AConfig, widen bool) bool {
 	}
 	for i, p := range dst.Procs {
 		q := src.Procs[i]
+		if p == q {
+			continue // one shared process: nothing to join
+		}
+		var own *AProc // dst's private copy of p, made on the first write
+		frame := func(j int) *AFrame {
+			if own == nil {
+				own = cloneProcIn(dst, i)
+			}
+			return own.Frames[j]
+		}
 		for j, f := range p.Frames {
 			g := q.Frames[j]
 			for k, v := range g.Locals {
 				if !v.Leq(f.Locals[k]) {
-					f.Locals[k] = jv(f.Locals[k], v)
+					frame(j).Locals[k] = jv(f.Locals[k], v)
 					changed = true
 				}
 			}
 			if f.Pending != nil && g.Pending != nil {
 				if !g.Pending.val.Leq(f.Pending.val) {
-					f.Pending.val = jv(f.Pending.val, g.Pending.val)
+					frame(j).Pending.val = jv(f.Pending.val, g.Pending.val)
 					changed = true
 				}
 				if d, ok := mergeDest(f.Pending.dest, g.Pending.dest); ok {
-					f.Pending.dest = d
+					frame(j).Pending.dest = d
 					changed = true
 				}
 			}
 			if d, ok := mergeDest(f.Dest, g.Dest); ok {
-				f.Dest = d
+				frame(j).Dest = d
 				changed = true
 			}
 		}
@@ -278,18 +291,6 @@ func mergeDest(d, o aDest) (aDest, bool) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].String() < ts[j].String() })
 	d.ts = ts
 	return d, true
-}
-
-// deepCopyValues returns a full private copy of the configuration so a
-// stored state can never alias a working one.
-func (c *AConfig) deepCopy() *AConfig {
-	nc := &AConfig{Store: c.Store, MayError: c.MayError}
-	nc.Procs = make([]*AProc, len(c.Procs))
-	for i := range c.Procs {
-		nc.Procs[i] = c.Procs[i]
-		cloneProcIn(nc, i)
-	}
-	return nc
 }
 
 func (c *AConfig) procIndex(path string) int {

@@ -192,6 +192,13 @@ func (r *Result) GlobalInvariant(name string) (absdom.Value, bool) {
 }
 
 // aState is the stored value state at one control point.
+//
+// Ownership rule: a stored *AProc (and every frame and pending write it
+// holds) is never mutated in place. A new state stores the successor
+// configuration itself, which shares its unchanged processes with the
+// state it was stepped from, and joinInto copies a process with
+// cloneProcIn before it writes to it. Only the AConfig itself — its
+// Procs slice, Store and MayError — belongs to the state alone.
 type aState struct {
 	cfg    *AConfig
 	visits int

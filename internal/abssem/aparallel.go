@@ -138,7 +138,7 @@ func analyzeParallel(ctx context.Context, prog *lang.Program, opts Options) *Res
 							res.Truncated = true
 							return false
 						}
-						cur = &aState{cfg: succ.deepCopy()}
+						cur = &aState{cfg: succ}
 						states[nsig] = cur
 						cur.queued = true
 						queue = append(queue, nsig)

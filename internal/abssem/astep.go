@@ -76,10 +76,17 @@ func (st *astepper) emitError() {
 	st.out = append(st.out, errCfg)
 }
 
-// fork duplicates the stepper (deep copy) so one branch can continue
-// independently of another.
+// fork duplicates the stepper so one branch can continue independently
+// of another. The processes this stepper owns (st.cloned) are copied for
+// the fork; the rest stay shared with the state being stepped, and
+// mutProc copies them before either branch writes to them.
 func (st *astepper) fork() *astepper {
-	nc := st.cfg.deepCopy()
+	nc := st.cfg.clone()
+	for path := range st.cloned {
+		if i := nc.procIndex(path); i >= 0 {
+			cloneProcIn(nc, i)
+		}
+	}
 	var proc *AProc
 	if pi := nc.procIndex(st.proc.Path); pi >= 0 {
 		proc = nc.Procs[pi]
