@@ -178,13 +178,19 @@ func CheckLatticeLaws[T any](l Lattice[T], sample []T) string {
 	return ""
 }
 
-// CheckWidening verifies that Widen covers both arguments on the samples.
+// CheckWidening verifies on the samples that Widen covers both arguments
+// and that widening by something already below the older value changes
+// nothing (b ⊑ a ⇒ a ∇ b = a). Fixpoint engines rely on the second law to
+// skip a widening whose incoming value adds nothing.
 func CheckWidening[T any](l Lattice[T], w Widener[T], sample []T) string {
 	for _, a := range sample {
 		for _, b := range sample {
 			v := w.Widen(a, b)
 			if !l.Leq(a, v) || !l.Leq(b, v) {
 				return "widening does not cover its arguments at " + l.Format(a) + ", " + l.Format(b)
+			}
+			if l.Leq(b, a) && !l.Eq(v, a) {
+				return "widening by a smaller value changes the older one at " + l.Format(a) + ", " + l.Format(b)
 			}
 		}
 	}
