@@ -157,7 +157,12 @@ func clanAbstract(n int) int {
 // clone copies the configuration shell: a new Procs slice whose
 // processes are shared with c.
 func (c *AConfig) clone() *AConfig {
-	return &AConfig{Procs: slices.Clone(c.Procs), Store: c.Store, MayError: c.MayError}
+	nc := &AConfig{Store: c.Store, MayError: c.MayError}
+	nc.Procs = make([]*AProc, len(c.Procs))
+	for i, p := range c.Procs {
+		nc.Procs[i] = p
+	}
+	return nc
 }
 
 // cloneProcIn replaces process i of c with a private copy — frames,
