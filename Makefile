@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet lint bench benchcmp paperbench examples clean \
+.PHONY: all build test test-short vet lint bench benchcmp bench-regressions paperbench examples clean \
 	fmt fmt-check race bench-smoke fuzz-smoke soak-smoke soak-edits soak psad-smoke perfbench-check vulncheck ci
 
 all: build vet test
@@ -47,6 +47,15 @@ benchcmp:
 	( cd $$tmp && $(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -count=6 . > /tmp/bench-base.txt ); \
 	st=$$?; git worktree remove --force $$tmp; exit $$st
 	benchstat /tmp/bench-base.txt /tmp/bench-head.txt
+
+# Print a warning annotation for every sec/op regression above 10% in a
+# saved benchstat delta (BENCH_DELTA, default bench-delta.txt, e.g. from
+# `make -s benchcmp > bench-delta.txt`). The CI bench-compare job runs
+# the same script; TestBenchRegressionScript checks it against
+# testdata/benchstat/regress.txt.
+BENCH_DELTA ?= bench-delta.txt
+bench-regressions:
+	awk -f scripts/benchregress.awk $(BENCH_DELTA)
 
 paperbench:
 	$(GO) run ./cmd/paperbench
