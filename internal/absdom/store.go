@@ -9,7 +9,8 @@ import (
 // Store is the abstract shared store: one abstract value per global and
 // one summary value per abstract heap object (field-insensitive: all
 // cells of all objects from one site/birthdate fold together). Stores are
-// immutable; updates return new stores sharing structure.
+// immutable; updates return new stores sharing structure. The one
+// exception is JoinInPlace on a caller's own Clone.
 type Store struct {
 	dom     NumDomain
 	globals []Value
