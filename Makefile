@@ -97,24 +97,28 @@ fuzz-smoke:
 	$(GO) test ./internal/lang -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lang -run '^$$' -fuzz '^FuzzLexer$$' -fuzztime $(FUZZTIME)
 
-# Fixed-seed differential soak smoke — the CI soak-smoke job: 200
-# generated programs through all four oracles (concrete-vs-abstract
-# soundness, reduced-vs-full equivalence, parallel-vs-inline
-# bit-identity, fingerprint-vs-exact-keys). Any divergence exits
-# nonzero and leaves a shrunk reproducer in soak-corpus/.
+# Fixed-seed differential soak smoke — the CI soak-smoke job, which
+# uploads the soak-report.json it writes: 200 generated programs
+# through all four oracles (concrete-vs-abstract soundness,
+# reduced-vs-full equivalence, parallel-vs-inline bit-identity,
+# fingerprint-vs-exact-keys). Any divergence exits nonzero and leaves a
+# shrunk reproducer in soak-corpus/.
 SOAK_SEED ?= 1
 SOAK_N ?= 200
 soak-smoke:
-	$(GO) run ./cmd/psasoak -seed $(SOAK_SEED) -n $(SOAK_N) -max-configs 4096 -corpus soak-corpus
+	$(GO) run ./cmd/psasoak -seed $(SOAK_SEED) -n $(SOAK_N) -max-configs 4096 -corpus soak-corpus \
+		-json soak-report.json
 
-# Fixed-seed edit-sequence soak smoke — the CI soak-edits job: oracle 5
-# drives random 3-edit chains (progen.Mutate) through persistent
-# incremental sessions at 0/1/4 workers and
-# requires bit-identical results and deterministic counters against
-# from-scratch analysis of every version, under the race detector.
+# Fixed-seed edit-sequence soak smoke — the CI soak-edits job, which
+# uploads the soak-edits-report.json it writes: oracle 5 drives random
+# 3-edit chains (progen.Mutate) through pipeline.Incremental at 0/1/4
+# workers and requires bit-identical results and deterministic counters
+# against from-scratch analysis of every version, under the race
+# detector.
 EDITS_N ?= 200
 soak-edits:
-	$(GO) run -race ./cmd/psasoak -seed $(SOAK_SEED) -n $(EDITS_N) -edits 3 -profile small -max-configs 4096 -corpus soak-corpus
+	$(GO) run -race ./cmd/psasoak -seed $(SOAK_SEED) -n $(EDITS_N) -edits 3 -profile small -max-configs 4096 -corpus soak-corpus \
+		-json soak-edits-report.json
 
 # Open-ended local soak: bigger programs, deeper exploration, time-boxed.
 # Raise SOAK_BUDGET for a long background run (e.g. make soak SOAK_BUDGET=2h).
@@ -126,10 +130,12 @@ soak:
 # Daemon end-to-end smoke — the CI psad-smoke job: boots cmd/psad on an
 # ephemeral port, drives both analyses plus /healthz and /metrics over
 # real HTTP, SIGTERMs it, and requires a clean drained exit 0. The
-# service-layer integration tests (coalescing, cancellation, shutdown)
-# run alongside under the race detector.
+# service-layer integration tests (coalescing, cancellation, panics,
+# shutdown) and the tests of the pipeline cache and core.Analyzer, which
+# the daemon shares across concurrent requests, run alongside under the
+# race detector.
 psad-smoke:
-	$(GO) test -race -count=1 ./cmd/psad ./internal/service
+	$(GO) test -race -count=1 ./cmd/psad ./internal/service ./internal/pipeline ./internal/core
 
 # The benchmark harness (perfbench/) is its own Go module, so the root
 # `go test ./...` skips it; vet and test it here, offline, so an API

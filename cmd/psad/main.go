@@ -10,7 +10,7 @@
 //	  -workers N      worker goroutines per run (0/1 sequential, <0 GOMAXPROCS)
 //	  -drain 10s      graceful-shutdown drain budget
 //	  -max-body N     request body cap in bytes
-//	  -cache-max N    completed-result cache bound (LRU; <0 unbounded)
+//	  -cache-max N    result cache bound (LRU; <0 unbounded)
 //
 // Endpoints:
 //
@@ -18,22 +18,20 @@
 //	GET  /healthz  liveness probe
 //	GET  /metrics  service stats + aggregated engine counters
 //
-// Identical concurrent submissions (same program hash, same
-// result-relevant options) coalesce onto one engine run; completed
-// results are cached under the same key, bounded by -cache-max with
-// least-recently-used eviction (the cache_evictions counter in /metrics
-// tracks drops). Worker count is server-side configuration: by the engines' determinism contract they never change
+// A request is parsed first (a parse error is a 400) and keyed by its
+// result's content address: for abstract runs the program hash plus the
+// result-relevant options, so an α-equivalent resubmission (rename,
+// label edit, reformatting) hits; for explore runs the exact source
+// text plus the options. Identical concurrent submissions coalesce onto
+// one engine run; completed results are cached under the same key,
+// bounded by -cache-max with least-recently-used eviction (cache_hits
+// and cache_evictions in /metrics). A hit replays the stored run's
+// deterministic engine counters, so responses and counters stay
+// bit-identical to cold runs. Worker count is server-side
+// configuration: by the engines' determinism contract it never changes
 // results, so responses are bit-identical to cmd/psa's summaries for
-// the same program and options at any -workers setting.
-//
-// Incremental re-analysis: an abstract response carries a program_hash;
-// submitting an edited program with {"base": "<that hash>"} routes the
-// run through a per-options incremental session. An α-equivalent
-// resubmission of the session's last version (rename, label edit,
-// reformatting) replays its result without re-running the fixpoint
-// (analysis_cache_hit in /metrics); any other program runs the plain
-// fixpoint (analysis_cache_miss). Responses stay bit-identical to cold
-// runs — base is purely an optimization hint.
+// the same program and options at any -workers setting. A run that
+// panics answers 500 (runs_panicked) and is not cached.
 //
 // A connection gets readHeaderTimeout to send its request headers, so a
 // client trickling header bytes cannot hold a goroutine and a file
@@ -82,7 +80,7 @@ func run() int {
 		workers  = flag.Int("workers", 0, "worker goroutines per analysis run (0/1 sequential, <0 GOMAXPROCS); results are identical at any count")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget before in-flight runs are cancelled")
 		maxBody  = flag.Int64("max-body", 1<<20, "request body cap in bytes")
-		cacheMax = flag.Int("cache-max", 1024, "max completed results cached (LRU eviction; negative = unbounded)")
+		cacheMax = flag.Int("cache-max", 1024, "max results cached (LRU eviction; negative = unbounded)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {

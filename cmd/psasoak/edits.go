@@ -7,10 +7,10 @@ package main
 // two ways and the results compared field for field:
 //
 //   - from scratch: pipeline.Analyze with a fresh metrics registry;
-//   - incrementally: three persistent pipeline.Incremental sessions — one
-//     per worker count in {0, 1, 4} — each fed the whole chain in order,
-//     so a session replays its previous result when an edit is
-//     α-neutral and runs the plain fixpoint otherwise.
+//   - incrementally: three pipeline.Incremental sessions (one-entry
+//     result caches) — one per worker count in {0, 1, 4} — each fed the
+//     whole chain in order, so a session answers from the cache when an
+//     edit is α-neutral and runs the plain fixpoint otherwise.
 //
 // The oracle demands Result.Digest equality AND deterministic-counter
 // equality at every step of every session: incremental re-analysis must

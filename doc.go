@@ -12,7 +12,8 @@
 // the command-line tools, and cmd/psad serves the same analyses as a
 // long-lived HTTP/JSON daemon (internal/service: one process-wide
 // worker pool, identical in-flight requests coalesced onto one engine
-// run, results cached by program hash and options — DESIGN.md §11);
+// run, results held in the pipeline's content-addressed cache —
+// DESIGN.md §11);
 // bench_test.go regenerates every figure and table of the paper's
 // evaluation (see EXPERIMENTS.md).
 //
@@ -36,15 +37,15 @@
 // Cancelled — the same cut shape as MaxConfigs/MaxStates truncation,
 // except never cached, since the cut point is timing-dependent.
 //
-// The abstract pipeline also offers incremental sessions:
-// pipeline.NewIncremental opens a long-lived session whose AnalyzeEdit
-// takes each submitted program version in turn. An α-equivalent
-// resubmission (rename, label edit, reformatting) replays the previous
-// result from its canonical whole-program hash (internal/lang) without
-// re-running the fixpoint; a real edit runs the plain fixpoint. Results
-// and deterministic counters are bit-identical to a from-scratch run at
-// any worker count; cmd/psad exposes the session
-// via the optional "base" program-hash hint on /analyze (DESIGN.md §13).
+// Engine results live in one bounded cache, pipeline.Cache, which
+// cmd/psad and core.Analyzer share the code of. Abstract results are
+// keyed by the canonical whole-program hash (internal/lang) plus the
+// result-relevant options, so an α-equivalent resubmission (rename,
+// label edit, reformatting) is answered without re-running the
+// fixpoint; explore results are keyed by the exact source text. A hit
+// replays the stored run's deterministic counters, so results and
+// metrics are bit-identical to a from-scratch run at any worker count
+// (DESIGN.md §8, §13).
 //
 // The engines are instrumented through internal/metrics, a nil-safe
 // registry of atomic counters, per-level statistics, and phase timings

@@ -15,7 +15,7 @@ import (
 // and the full footprint map (when collected). Two results of analyses
 // over the SAME program (identical NodeIDs) digest equal iff every
 // client-visible query would answer identically — the comparison the
-// incremental layer's bit-identity contract is enforced with (pipeline
+// result cache's bit-identity contract is enforced with (pipeline
 // tests, psasoak oracle 5).
 func (r *Result) Digest() string {
 	var b strings.Builder
@@ -58,8 +58,8 @@ func (r *Result) Digest() string {
 // NodeIDs in structural order, so α-equal programs number corresponding
 // nodes identically). The stores, invariant map, and footprints are
 // shared — they are immutable — and only the program pointer the label/
-// query methods resolve through is replaced. The incremental pipeline's
-// no-op-edit fast path calls this instead of re-running the fixpoint.
+// query methods resolve through is replaced. The pipeline's result cache
+// calls this when a hit comes from another parse of a stored program.
 func ReuseResult(prev *Result, newProg *lang.Program) *Result {
 	return &Result{
 		States:        prev.States,

@@ -72,9 +72,9 @@ const (
 	Stubborn = explore.Stubborn
 )
 
-// Analyzer owns one parsed program, one RunOptions configuration, and
-// caches of the derived artifacts — collectors and abstract results keyed
-// by the options that produced them, so reconfiguring an analyzer never
+// Analyzer owns one parsed program, one RunOptions configuration, a
+// pipeline.Cache of abstract results and a memo of collectors keyed by
+// the options that produced them, so reconfiguring an analyzer never
 // hands back results computed under different settings (the historical
 // single-slot cache silently did).
 //
@@ -90,14 +90,16 @@ type Analyzer struct {
 	ownPool *sched.Pool
 	ctx     context.Context
 
+	// collectors memoizes one Collector per options key for the current
+	// program. It is not a result cache: a Collector answers label
+	// queries, labels are outside both program hashes, and the memo
+	// holds a sink fed by this program's traversal. AnalyzeEdit clears
+	// it.
 	collectors map[string]*analysis.Collector
-	abstracts  map[string]*abssem.Result
-
-	// inc is the analyzer's incremental abstract session (AnalyzeEdit);
-	// incKey is the abstract options key it was built for. An options
-	// change opens a fresh session.
-	inc    *pipeline.Incremental
-	incKey string
+	// abstracts holds the abstract results of this analyzer's programs
+	// (created on first use; 16 covers a few option sets over the few
+	// versions an edit session revisits).
+	abstracts *pipeline.Cache[pipeline.Result]
 }
 
 // Parse builds an Analyzer from source text.
@@ -146,7 +148,7 @@ func (a *Analyzer) Options() RunOptions { return a.opts }
 // context stops in-flight explorations and fixpoints at their next merge
 // boundary; the run returns a coherent partial result with Cancelled set
 // (same cut shape as the MaxConfigs/MaxStates truncation), and cancelled
-// results never enter the analyzer's options-keyed caches. A nil context
+// results are never cached. A nil context
 // restores the default (never cancelled).
 func (a *Analyzer) WithContext(ctx context.Context) *Analyzer {
 	a.ctx = ctx
@@ -248,18 +250,14 @@ func (a *Analyzer) Abstract() *AbstractResult {
 }
 
 // AbstractWith runs the abstract interpreter with explicit options
-// (domain, k-limit, clan folding), caching results per normalized
-// options key — AbstractWith(defaults) and Abstract() share one cache
-// entry, and differing options never collide. Zero-valued execution
-// fields (Workers, Pool, Metrics) inherit the analyzer's configuration;
-// they never affect results, only how the run executes.
+// (domain, k-limit, clan folding), caching results under the program
+// hash and normalized options key (pipeline.AnalyzeJob) —
+// AbstractWith(defaults) and Abstract() share one cache entry, differing
+// options never collide, and a hit on the analyzer's own program returns
+// the stored result itself. Zero-valued execution fields (Workers, Pool,
+// Metrics) inherit the analyzer's configuration; they never affect
+// results, only how the run executes.
 func (a *Analyzer) AbstractWith(opts AbstractOptions) *AbstractResult {
-	key := pipeline.AbstractKey(opts)
-	if res, ok := a.abstracts[key]; ok {
-		a.opts.Metrics.Inc(metrics.AnalysisCacheHit)
-		return res
-	}
-	a.opts.Metrics.Inc(metrics.AnalysisCacheMiss)
 	if opts.Workers == 0 {
 		opts.Workers = a.opts.Workers
 	}
@@ -269,47 +267,30 @@ func (a *Analyzer) AbstractWith(opts AbstractOptions) *AbstractResult {
 	if opts.Metrics == nil {
 		opts.Metrics = a.opts.Metrics
 	}
-	res := abssem.AnalyzeContext(a.context(), a.Prog, opts)
-	if !res.Cancelled {
-		// Cancelled fixpoints carry a timing-dependent cut; caching one
-		// would serve a partial result to every later query.
-		if a.abstracts == nil {
-			a.abstracts = make(map[string]*abssem.Result)
-		}
-		a.abstracts[key] = res
+	if a.abstracts == nil {
+		a.abstracts = pipeline.NewCache(16)
 	}
-	return res
+	// opts is complete: install it whole over the derived options.
+	job := pipeline.AnalyzeJob(a.Prog, RunOptions{}, func(ao *abssem.Options) { *ao = opts })
+	res, _ := a.abstracts.Do(a.context(), job)
+	return res.Abstract
 }
 
 // AnalyzeEdit re-targets the analyzer at an edited version of its
-// program and returns the abstract result for the new version. An
-// α-equivalent edit (e.g. a local rename, without clan folding) skips
-// the fixpoint and reuses the previous version's result; any other edit
-// runs the plain fixpoint (see pipeline.Incremental). The result is
+// program and returns Abstract() for the new version. A version that
+// shares a cache key with one analyzed before (an α-equivalent edit,
+// e.g. a local rename without clan folding) is answered from the
+// analyzer's cache; any other runs the plain fixpoint. The result is
 // bit-identical to a from-scratch analysis of newProg under the current
 // configuration.
 //
 // The analyzer's program becomes newProg: subsequent Collect/Abstract/
-// application queries answer for the new version (their per-program
-// caches are reset; the returned result seeds the abstract cache).
+// application queries answer for the new version (the collector memo is
+// reset).
 func (a *Analyzer) AnalyzeEdit(newProg *lang.Program) *AbstractResult {
-	key := pipeline.AbstractKey(a.opts.AbstractOptions())
-	if a.inc == nil || a.incKey != key {
-		a.inc = pipeline.NewIncremental(a.runOptions(), nil)
-		a.incKey = key
-	} else {
-		// Same result-relevant options: refresh the execution-only fields
-		// (pool, metrics) the session threads into its runs.
-		a.inc.Configure(a.runOptions())
-	}
-	res := a.inc.AnalyzeEditContext(a.context(), newProg)
 	a.Prog = newProg
 	a.collectors = nil
-	a.abstracts = nil
-	if !res.Cancelled {
-		a.abstracts = map[string]*abssem.Result{key: res}
-	}
-	return res
+	return a.Abstract()
 }
 
 // Dependences computes the §5.2 data dependences among labeled

@@ -7,10 +7,9 @@ import (
 )
 
 // This file defines the canonical, position-independent program hashes
-// the incremental session (internal/pipeline) and the analysis service
-// (internal/service) key on: two submissions with equal hashes are the
-// same analysis input, so a previous result can be replayed for the
-// second one.
+// the result cache (internal/pipeline) keys abstract runs on: two
+// submissions with equal hashes are the same analysis input, so a
+// previous result can be replayed for the second one.
 //
 // Two hash modes exist per procedure:
 //
@@ -115,7 +114,7 @@ func digest(b []byte) string {
 // hashWriter accumulates one procedure's canonical rendering for the two
 // hash modes: structural tokens go to both buffers, declared names only
 // to the name-sensitive one. Buffering the rendering and hashing once in
-// sums keeps the hot path (HashProgram runs on every incremental
+// sums keeps the hot path (HashProgram runs on every service
 // submission) free of per-token hash.Write calls and conversions.
 type hashWriter struct {
 	alpha []byte

@@ -5,14 +5,6 @@ import (
 	"strconv"
 )
 
-// A LexError reports a lexical error with its position.
-type LexError struct {
-	Pos Pos
-	Msg string
-}
-
-func (e *LexError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
-
 // Lexer turns source text into tokens. Comments are //-to-end-of-line and
 // /* ... */ blocks.
 type Lexer struct {
@@ -96,7 +88,7 @@ func (lx *Lexer) skipSpaceAndComments() error {
 				lx.advance()
 			}
 			if !closed {
-				return &LexError{Pos: start, Msg: "unterminated block comment"}
+				return &Error{Pos: start, Msg: "unterminated block comment"}
 			}
 		default:
 			return nil
@@ -140,7 +132,7 @@ func (lx *Lexer) Next() (Token, error) {
 		text := lx.src[start:lx.off]
 		n, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return Token{}, &LexError{Pos: pos, Msg: fmt.Sprintf("bad integer literal %q", text)}
+			return Token{}, &Error{Pos: pos, Msg: fmt.Sprintf("bad integer literal %q", text)}
 		}
 		return Token{Kind: TokInt, Pos: pos, Int: n}, nil
 	}
@@ -202,12 +194,12 @@ func (lx *Lexer) Next() (Token, error) {
 		if lx.peek2() == '|' {
 			return two(TokParallel)
 		}
-		return Token{}, &LexError{Pos: pos, Msg: "single '|' is not an operator (did you mean '||'?)"}
+		return Token{}, &Error{Pos: pos, Msg: "single '|' is not an operator (did you mean '||'?)"}
 	case '&':
 		if lx.peek2() == '&' {
 			return two(TokAnd)
 		}
 		return one(TokAmp)
 	}
-	return Token{}, &LexError{Pos: pos, Msg: fmt.Sprintf("unexpected character %q", string(c))}
+	return Token{}, &Error{Pos: pos, Msg: fmt.Sprintf("unexpected character %q", string(c))}
 }

@@ -119,9 +119,9 @@ func TestLexErrorHasPosition(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	le, ok := err.(*LexError)
+	le, ok := err.(*Error)
 	if !ok {
-		t.Fatalf("error type %T, want *LexError", err)
+		t.Fatalf("error type %T, want *Error", err)
 	}
 	if le.Pos != (Pos{Line: 2, Col: 3}) {
 		t.Errorf("error at %v, want 2:3", le.Pos)

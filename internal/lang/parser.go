@@ -2,14 +2,6 @@ package lang
 
 import "fmt"
 
-// A ParseError reports a syntax error with its position.
-type ParseError struct {
-	Pos Pos
-	Msg string
-}
-
-func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
-
 // Parse lexes and parses src into a Program, then resolves names and
 // validates the result. It is the usual entry point for program text.
 func Parse(src string) (*Program, error) {
@@ -77,14 +69,14 @@ func (ps *parser) expect(k TokKind) (Token, error) {
 	if ps.peekKind(k) {
 		return ps.next(), nil
 	}
-	return Token{}, &ParseError{
+	return Token{}, &Error{
 		Pos: ps.cur().Pos,
 		Msg: fmt.Sprintf("expected %q, found %s", k.String(), ps.cur()),
 	}
 }
 
 func (ps *parser) errf(pos Pos, format string, args ...any) error {
-	return &ParseError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (ps *parser) parseProgram() error {

@@ -221,9 +221,9 @@ func TestParseErrorPositions(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	pe, ok := err.(*ParseError)
+	pe, ok := err.(*Error)
 	if !ok {
-		t.Fatalf("error type %T, want *ParseError", err)
+		t.Fatalf("error type %T, want *Error", err)
 	}
 	if pe.Pos.Line != 3 {
 		t.Errorf("error at line %d, want 3", pe.Pos.Line)

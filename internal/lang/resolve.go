@@ -5,14 +5,6 @@ import (
 	"sort"
 )
 
-// A ResolveError reports a name-resolution or static-validation error.
-type ResolveError struct {
-	Pos Pos
-	Msg string
-}
-
-func (e *ResolveError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
-
 // FuncInfo holds per-function resolution results.
 type FuncInfo struct {
 	// FrameSize is the number of value slots in an activation frame:
@@ -113,7 +105,7 @@ type resolver struct {
 }
 
 func (r *resolver) errf(pos Pos, format string, args ...any) error {
-	return &ResolveError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (r *resolver) push() { r.scope = &scope{parent: r.scope, bindings: map[string]*localBinding{}} }

@@ -132,6 +132,15 @@ func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 // IsValid reports whether the position has been set.
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
+// An Error reports a lexical, syntax, name-resolution or static-validation
+// error at its source position.
+type Error struct {
+	Pos Pos
+	Msg string
+}
+
+func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
+
 // Token is a lexical token with its position and payload.
 type Token struct {
 	Kind TokKind

@@ -90,9 +90,9 @@ const (
 	// much exploration the pipeline layer avoided, not explored-space
 	// structure.
 	PipelineFusedSinks
-	// AnalysisCacheHit / AnalysisCacheMiss count core.Analyzer lookups of
-	// its options-keyed collector and abstract-result caches. Perf-only:
-	// hits depend on call order, not on the explored space.
+	// AnalysisCacheHit / AnalysisCacheMiss count lookups of the
+	// pipeline result cache and of core.Analyzer's collector memo.
+	// Perf-only: hits depend on call order, not on the explored space.
 	AnalysisCacheHit
 	AnalysisCacheMiss
 	// DepMergeWaits counts the times the parallel explorer's dependency-
@@ -162,7 +162,7 @@ func (c Counter) PerfOnly() bool {
 
 // EachCounter calls f for every defined counter in declaration order —
 // the iteration callers outside this package use to snapshot or replay
-// counter sets (e.g. the incremental pipeline's deterministic-counter
+// counter sets (e.g. the pipeline cache's deterministic-counter
 // capture) without depending on the private counter bound.
 func EachCounter(f func(Counter)) {
 	for c := Counter(0); c < numCounters; c++ {

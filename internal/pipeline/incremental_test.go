@@ -1,13 +1,17 @@
 package pipeline
 
 import (
+	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"psa/internal/abssem"
+	"psa/internal/explore"
 	"psa/internal/lang"
 	"psa/internal/metrics"
 	"psa/internal/sched"
+	"psa/internal/workloads"
 )
 
 const incBase = `
@@ -182,4 +186,127 @@ func TestIncrementalClanFoldUsesNamedHash(t *testing.T) {
 	if res.Digest() != want {
 		t.Fatalf("clan-fold incremental diverged from scratch")
 	}
+}
+
+// A cache hit replays exactly the deterministic counters a scratch run
+// of the submitted program records, for both engines, and a nil
+// registry gets nothing.
+func TestCacheHitReplaysScratchCounters(t *testing.T) {
+	c := NewCache(0)
+	for _, tc := range []struct {
+		name  string
+		first string
+		again string
+		job   func(src string, ro RunOptions) Job
+		run   func(src string, ro RunOptions)
+	}{
+		{"abstract", incBase, incRenamed,
+			func(src string, ro RunOptions) Job { return AnalyzeJob(lang.MustParse(src), ro, nil) },
+			func(src string, ro RunOptions) { Analyze(lang.MustParse(src), ro, nil) }},
+		{"explore", incBase, incBase,
+			func(src string, ro RunOptions) Job { return ExploreJob(src, lang.MustParse(src), ro) },
+			func(src string, ro RunOptions) { Explore(lang.MustParse(src), ro) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ro := RunOptions{Reduction: explore.Stubborn, Workers: 4}
+			if _, hit := c.Do(context.Background(), tc.job(tc.first, ro)); hit {
+				t.Fatal("cold lookup hit")
+			}
+			m := metrics.New()
+			ro.Metrics = m
+			if _, hit := c.Do(context.Background(), tc.job(tc.again, ro)); !hit {
+				t.Fatal("same key missed")
+			}
+			want := metrics.New()
+			tc.run(tc.again, RunOptions{Reduction: explore.Stubborn, Metrics: want})
+			got, wantCtr := m.Snapshot().DeterministicCounters(), want.Snapshot().DeterministicCounters()
+			if !reflect.DeepEqual(got, wantCtr) {
+				t.Fatalf("replayed counters %v, scratch %v", got, wantCtr)
+			}
+			if m.Get(metrics.AnalysisCacheHit) != 1 {
+				t.Fatalf("hit not counted: %d", m.Get(metrics.AnalysisCacheHit))
+			}
+			if _, hit := c.Do(context.Background(), tc.job(tc.again, RunOptions{Reduction: explore.Stubborn})); !hit {
+				t.Fatal("nil-registry lookup missed")
+			}
+		})
+	}
+}
+
+// A cancelled run's cut depends on timing, so the cache never stores
+// it; the next lookup misses and the rerun is stored.
+func TestCacheNeverStoresCancelled(t *testing.T) {
+	prog := workloads.Philosophers(3)
+	src := lang.Format(prog)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := NewCache(0)
+	for _, job := range []Job{AnalyzeJob(prog, RunOptions{}, nil), ExploreJob(src, prog, RunOptions{})} {
+		if res := c.Run(ctx, job); !res.Cancelled() {
+			t.Fatalf("%s: pre-cancelled run completed", job.Key)
+		}
+		if _, hit := c.Lookup(job); hit {
+			t.Fatalf("%s: cancelled result was stored", job.Key)
+		}
+		if res := c.Run(context.Background(), job); res.Cancelled() {
+			t.Fatalf("%s: live run cancelled", job.Key)
+		}
+		if _, hit := c.Lookup(job); !hit {
+			t.Fatalf("%s: completed result was not stored", job.Key)
+		}
+	}
+}
+
+// The cache holds at most its bound, evicting the least recently used.
+func TestCacheEvictsAtBound(t *testing.T) {
+	c := NewCache(2)
+	job := func(src string) Job { return AnalyzeJob(lang.MustParse(src), RunOptions{}, nil) }
+	ctx := context.Background()
+	c.Do(ctx, job(incBase))
+	c.Do(ctx, job(incEdited))
+	c.Do(ctx, job(incBase)) // touch: incEdited is now the oldest
+	c.Do(ctx, job(lang.Format(workloads.Philosophers(2))))
+	if st := c.Stats(); st.Evictions != 1 {
+		t.Fatalf("stats %+v, want 1 eviction", st)
+	}
+	if _, hit := c.Lookup(job(incEdited)); hit {
+		t.Fatal("least recently used entry survived the bound")
+	}
+	if _, hit := c.Lookup(job(incBase)); !hit {
+		t.Fatal("recently used entry was evicted")
+	}
+}
+
+// Concurrent callers share one cache: every answer, hit or run, equals
+// the scratch result and counters of its program.
+func TestCacheConcurrentCallers(t *testing.T) {
+	srcs := []string{incBase, incRenamed, incEdited}
+	type want struct {
+		dig string
+		ctr map[string]int64
+	}
+	wants := make([]want, len(srcs))
+	for i, src := range srcs {
+		wants[i].dig, wants[i].ctr = scratchCounters(t, src, RunOptions{})
+	}
+	c := NewCache(2)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 6; k++ {
+				i := (g + k) % len(srcs)
+				m := metrics.New()
+				res, _ := c.Do(context.Background(), AnalyzeJob(lang.MustParse(srcs[i]), RunOptions{Metrics: m}, nil))
+				if dig := res.Abstract.Digest(); dig != wants[i].dig {
+					t.Errorf("program %d: digest %s, scratch %s", i, dig, wants[i].dig)
+				}
+				if ctr := m.Snapshot().DeterministicCounters(); !reflect.DeepEqual(ctr, wants[i].ctr) {
+					t.Errorf("program %d: counters %v, scratch %v", i, ctr, wants[i].ctr)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -19,27 +19,23 @@
 //     AbstractOptions) so worker pools, reductions, caps, and metrics
 //     thread through every layer instead of being rebuilt per call site.
 //
-// RunOptions.Key and AbstractKey give the canonical cache keys the
-// core.Analyzer result caches use: they cover exactly the fields that can
-// change results and exclude the execution-only fields (Workers, Pool,
-// Metrics) that the engines' determinism contract guarantees never do.
+// Cache (cache.go) is the one store of engine results, shared by the
+// service and core.Analyzer. Its keys end in RunOptions.Key or
+// AbstractKey, which cover exactly the fields that can change results
+// and exclude the execution-only fields (Workers, Pool, Metrics) that
+// the engines' determinism contract guarantees never do.
 //
 // # Key stability contract
 //
 // The strings Key and AbstractKey return are STABLE ACROSS RELEASES:
-// callers persist them (the service's completed-result cache, saved
-// experiment manifests) and compare them across process generations, so
-// the rendering of the existing fields must never change. Extending
-// either key for a new result-relevant option must append a new
-// "name=value" field whose zero value reproduces today's semantics —
-// never rename, reorder, or re-encode the fields already present.
-// TestKeyGolden pins the exact strings; a failing golden test means a
-// breaking cache-key change, not a test to update casually.
-//
-// For incremental re-analysis of edited program versions, Incremental
-// (see incremental.go) replays the previous result when a resubmission
-// is α-equivalent and runs the plain fixpoint otherwise;
-// core.Analyzer.AnalyzeEdit builds on it.
+// callers persist them (saved experiment manifests) and compare them
+// across process generations, so the rendering of the existing fields
+// must never change. Extending either key for a new result-relevant
+// option must append a new "name=value" field whose zero value
+// reproduces today's semantics — never rename, reorder, or re-encode
+// the fields already present. TestKeyGolden pins the exact strings; a
+// failing golden test means a breaking cache-key change, not a test to
+// update casually.
 package pipeline
 
 import (
@@ -147,9 +143,7 @@ func (o RunOptions) Key() string {
 // normalized result-relevant fields of abssem.Options, excluding the
 // execution-only Workers/Pool/Metrics (bit-identical at any worker
 // count by the engine's contract). Options that normalize equal — e.g.
-// KBirth 0 and KBirth 2 — share one key, fixing the historical cache
-// collision where Abstract() cached defaults forever while AbstractWith
-// never cached at all.
+// KBirth 0 and KBirth 2 — share one key.
 func AbstractKey(o abssem.Options) string {
 	n := o.Normalized()
 	return fmt.Sprintf("dom=%s k=%d rec=%d clan=%t max=%d widen=%d foot=%t",
@@ -264,7 +258,7 @@ func Explore(prog *lang.Program, ro RunOptions, sinks ...NamedSink) *explore.Res
 // result with Cancelled set (see explore.ExploreContext). Sinks are
 // flushed either way, so a cancelled run's per-sink phases cover
 // exactly the merged prefix. Cancelled results carry a timing-dependent
-// cut and must never enter options-keyed caches.
+// cut, so Cache never stores them.
 func ExploreContext(ctx context.Context, prog *lang.Program, ro RunOptions, sinks ...NamedSink) *explore.Result {
 	ms := NewMultiSink(ro.Metrics)
 	for _, ns := range sinks {
@@ -299,8 +293,7 @@ func Analyze(prog *lang.Program, ro RunOptions, adjust func(*abssem.Options)) *a
 // AnalyzeContext is Analyze under a context: cancelling ctx stops the
 // fixpoint at the engine's next worklist boundary and returns a partial
 // result with Cancelled set (see abssem.AnalyzeContext). Cancelled
-// results carry a timing-dependent cut and must never enter
-// options-keyed caches.
+// results carry a timing-dependent cut, so Cache never stores them.
 func AnalyzeContext(ctx context.Context, prog *lang.Program, ro RunOptions, adjust func(*abssem.Options)) *abssem.Result {
 	ao := ro.AbstractOptions()
 	if adjust != nil {

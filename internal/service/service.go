@@ -8,42 +8,31 @@
 //   - One pool, many runs. Every analysis executes on the service's
 //     shared sched.Pool; concurrent submissions interleave on the same
 //     persistent workers instead of spawning goroutines per request.
-//     Workers are server-side, execution-only configuration — by the engines' determinism contract they never
-//     change results, so they are not part of a request.
+//     Workers are server-side, execution-only configuration — by the
+//     engines' determinism contract they never change results, so they
+//     are not part of a request.
 //
-//   - Coalescing and caching by result identity. Two requests with the
-//     same program hash and the same result-relevant options must
-//     produce bit-identical results, so an in-flight run is shared by
-//     every identical request that arrives before it completes (one
-//     engine run, N responses), and completed results are cached by the
-//     same key. A request detaching (client disconnect) decrements the
-//     flight's reference count; when the last requester detaches, the
-//     run's context is cancelled and the work stops at the engine's
-//     next merge boundary.
+//   - One cache, keyed by content. A request is parsed first (a parse
+//     error is a 400 and starts nothing) and becomes a pipeline.Job,
+//     whose key is its result's content address (an α-equivalent
+//     abstract resubmission hits). Completed results live in one
+//     pipeline.Cache bounded by Config.CacheMax; an identical request
+//     arriving while the job runs attaches to its in-flight run (one
+//     engine run, N responses). When the last attached requester
+//     detaches (client disconnect), the run's context is cancelled and
+//     the work stops at the engine's next merge boundary.
 //
 //   - Cancellation is truncation. A cancelled run returns the engines'
 //     coherent partial result (Cancelled set, same cut shape as the
 //     MaxConfigs/MaxStates truncation). Because the cut point is
-//     timing-dependent, cancelled results never enter the cache.
+//     timing-dependent, the cache never stores it.
 //
-//   - Resubmissions replay. An abstract request carrying a `base`
-//     program hash (the ProgramHash of a previously analyzed version)
-//     runs through a per-options incremental session
-//     (pipeline.Incremental): an α-equivalent resubmission of the
-//     session's last version skips the fixpoint and replays its result;
-//     any other program runs the plain fixpoint. The incremental layer's
-//     bit-identity contract means the response — summary text and engine
-//     counters alike — is indistinguishable from a cold run's, so the
-//     coalescing/cache key ignores base.
-//
-// The completed-result cache is bounded (Config.CacheMax) with
-// least-recently-used eviction; evictions are counted in Stats.
+// A run that panics answers 500 to every attached request, is counted
+// in Stats.RunsPanicked, and stores nothing.
 package service
 
 import (
-	"container/list"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -69,13 +58,10 @@ type Request struct {
 	// Options are the result-relevant run options. Execution-only
 	// configuration (workers) is server-side.
 	Options Options `json:"options,omitempty"`
-	// Base is the ProgramHash of a previously analyzed version this
-	// program is an edit of. Setting it routes an abstract run through
-	// the service's incremental session for these options, which replays
-	// the session's last result when the edit is α-neutral and runs the
-	// plain fixpoint otherwise. Purely an optimization hint: the response
-	// is bit-identical with or without it, and a stale or unknown hash
-	// merely runs the fixpoint. Ignored for explore runs.
+	// Base is ignored. It named the version an abstract request edits;
+	// the result cache now keys abstract runs on the program hash, so an
+	// α-equivalent resubmission hits without it. Kept so existing
+	// clients keep compiling.
 	Base string `json:"base,omitempty"`
 }
 
@@ -125,16 +111,14 @@ type Response struct {
 	Outcomes  []string `json:"outcomes,omitempty"`
 	// ProgramHash identifies the analyzed program version under the
 	// options' hash mode (the named body hash under clan folding, the
-	// α-renamed one otherwise); pass it back as Request.Base when
-	// submitting an edit of this program.
+	// α-renamed one otherwise).
 	ProgramHash string `json:"program_hash,omitempty"`
-	// Incremental marks an abstract run that went through the service's
-	// incremental session (Request.Base was set), so it could replay the
-	// session's previous result.
+	// Incremental is always false: incremental sessions are gone (see
+	// Request.Base). Kept so existing clients keep compiling.
 	Incremental bool `json:"incremental,omitempty"`
 	// Coalesced marks a response served by attaching to another
-	// request's in-flight run; Cached one served from the completed-
-	// result cache. Per-request bookkeeping, not part of the result.
+	// request's in-flight run; Cached one served from the result cache.
+	// Per-request bookkeeping, not part of the result.
 	Coalesced bool   `json:"coalesced,omitempty"`
 	Cached    bool   `json:"cached,omitempty"`
 	Error     string `json:"error,omitempty"`
@@ -143,16 +127,20 @@ type Response struct {
 // Stats is a snapshot of the service's request bookkeeping, exposed for
 // tests and the /metrics endpoint.
 type Stats struct {
+	// Requests counts decoded submissions, including those refused for
+	// bad options or program text.
 	Requests      int64 `json:"requests"`
 	Runs          int64 `json:"runs"`
 	RunsCancelled int64 `json:"runs_cancelled"`
-	CoalesceHits  int64 `json:"coalesce_hits"`
-	CacheHits     int64 `json:"cache_hits"`
+	// RunsPanicked counts runs that panicked; each answered 500.
+	RunsPanicked int64 `json:"runs_panicked"`
+	CoalesceHits int64 `json:"coalesce_hits"`
+	CacheHits    int64 `json:"cache_hits"`
 	// CacheEvictions counts completed results dropped from the bounded
 	// result cache (least recently used first, see Config.CacheMax).
 	CacheEvictions int64 `json:"cache_evictions"`
-	// IncrementalRuns counts abstract runs routed through an incremental
-	// session because the request carried a base program hash.
+	// IncrementalRuns is always 0 (see Request.Base). Kept so existing
+	// clients keep compiling.
 	IncrementalRuns int64 `json:"incremental_runs"`
 	Inflight        int   `json:"inflight"`
 }
@@ -164,15 +152,15 @@ type Config struct {
 	Workers int
 	// MaxBody caps the request body in bytes (default 1 MiB).
 	MaxBody int64
-	// CacheMax bounds the completed-result cache: at most CacheMax
-	// results are retained, evicting the least recently used (0 selects
-	// the default of 1024; negative disables the bound).
+	// CacheMax bounds the result cache: at most CacheMax results are
+	// retained, evicting the least recently used (0 selects the default
+	// of 1024; negative disables the bound).
 	CacheMax int
 }
 
 // Service executes analysis requests on one shared pool with in-flight
-// coalescing and an options-keyed result cache. Create with New, serve
-// via Handler, release with Close.
+// coalescing and a content-addressed result cache. Create with New,
+// serve via Handler, release with Close.
 type Service struct {
 	cfg  Config
 	pool *sched.Pool
@@ -182,43 +170,26 @@ type Service struct {
 	base   context.Context
 	cancel context.CancelFunc
 
-	mu      sync.Mutex
-	flights map[string]*flight
-	// Completed-result cache: map into an LRU list whose front is the
-	// most recently used entry; inserts past cfg.CacheMax evict the back.
-	cache    map[string]*list.Element
-	lru      *list.List // of *cacheEntry
-	incs     map[string]*pipeline.Incremental
-	incOrder []string // incremental sessions, least recently used first
+	cache *pipeline.Cache[Response] // of summarize'd results
+
+	mu       sync.Mutex
+	flights  map[string]*flight // by Job.Key
 	stats    Stats
 	counters map[string]int64 // engine counters aggregated across runs
 	closed   bool
-}
 
-// cacheEntry is one completed result in the LRU list.
-type cacheEntry struct {
-	key string
-	out *outcome
+	// runHook, when set, runs at the start of every run (a test seam).
+	runHook func()
 }
-
-// maxIncSessions bounds the distinct options keys with live incremental
-// sessions; the least recently used session (and the previous result it
-// holds) is dropped past the bound.
-const maxIncSessions = 8
 
 // flight is one in-flight engine run shared by every coalesced request.
+// res and panicked are set before done closes.
 type flight struct {
-	done   chan struct{} // closed when out is set
-	out    *outcome
-	refs   int // attached requests; last detach cancels the run
-	cancel context.CancelFunc
-}
-
-// outcome is a completed run: the shared response body (before
-// per-request Coalesced/Cached flags) and its HTTP status.
-type outcome struct {
-	resp   Response
-	status int
+	done     chan struct{}
+	res      Response // summarize'd
+	panicked string   // the recovered panic value, rendered
+	refs     int      // attached requests; last detach cancels the run
+	cancel   context.CancelFunc
 }
 
 // New builds a Service with its own worker pool.
@@ -235,10 +206,8 @@ func New(cfg Config) *Service {
 		pool:     sched.ForWorkers(cfg.Workers),
 		base:     base,
 		cancel:   cancel,
+		cache:    pipeline.NewSummaryCache(cfg.CacheMax, summarize),
 		flights:  map[string]*flight{},
-		cache:    map[string]*list.Element{},
-		lru:      list.New(),
-		incs:     map[string]*pipeline.Incremental{},
 		counters: map[string]int64{},
 	}
 }
@@ -268,10 +237,11 @@ func (s *Service) Close() {
 
 // Stats returns a snapshot of the request bookkeeping.
 func (s *Service) Stats() Stats {
+	cs := s.cache.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Inflight = len(s.flights)
+	st.CacheHits, st.CacheEvictions, st.Inflight = cs.Hits, cs.Evictions, len(s.flights)
 	return st
 }
 
@@ -294,18 +264,18 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsBody is the /metrics JSON shape: request bookkeeping plus the
-// engine counters aggregated across every completed run (each run has
-// its own metrics.Registry — the per-level stats are single-run state —
-// and its counter snapshot folds in here on completion).
+// engine counters aggregated across every completed run and cache hit
+// (each request has its own metrics.Registry — the per-level stats are
+// single-run state — which folds in here; a hit carries the
+// deterministic counters the cache replayed and analysis_cache_hit).
 type metricsBody struct {
 	Service  Stats            `json:"service"`
 	Counters map[string]int64 `json:"counters"`
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	body := metricsBody{Service: s.Stats(), Counters: map[string]int64{}}
 	s.mu.Lock()
-	body := metricsBody{Service: s.stats, Counters: make(map[string]int64, len(s.counters))}
-	body.Service.Inflight = len(s.flights)
 	for k, v := range s.counters {
 		body.Counters[k] = v
 	}
@@ -333,39 +303,39 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, Response{Error: "decode request: " + err.Error()})
 		return
 	}
-	key, err := requestKey(&req)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
-		return
-	}
+	reg := metrics.New()
+	job, err := s.job(&req, reg)
 
 	s.mu.Lock()
 	s.stats.Requests++
+	if err != nil {
+		s.mu.Unlock()
+		writeJSON(w, http.StatusBadRequest, Response{Analysis: req.Analysis, Error: err.Error()})
+		return
+	}
 	if s.closed {
 		s.mu.Unlock()
 		writeJSON(w, http.StatusServiceUnavailable, Response{Error: "service shutting down"})
 		return
 	}
-	if elem, ok := s.cache[key]; ok {
-		s.stats.CacheHits++
-		s.lru.MoveToFront(elem)
-		out := elem.Value.(*cacheEntry).out
+	if res, ok := s.cache.Lookup(job); ok {
+		s.fold(reg)
 		s.mu.Unlock()
-		resp := out.resp
+		resp := render(&req, job, res)
 		resp.Cached = true
-		writeJSON(w, out.status, resp)
+		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	f, coalesced := s.flights[key]
+	f, coalesced := s.flights[job.Key]
 	if coalesced {
 		s.stats.CoalesceHits++
 		f.refs++
 	} else {
 		ctx, cancel := context.WithCancel(s.base)
 		f = &flight{done: make(chan struct{}), cancel: cancel, refs: 1}
-		s.flights[key] = f
+		s.flights[job.Key] = f
 		s.stats.Runs++
-		go s.run(ctx, key, f, req)
+		go s.run(ctx, f, job, reg)
 	}
 	s.mu.Unlock()
 
@@ -383,128 +353,44 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp := f.out.resp
+	if f.panicked != "" {
+		writeJSON(w, http.StatusInternalServerError,
+			Response{Analysis: req.Analysis, Error: "analysis panicked: " + f.panicked})
+		return
+	}
+	resp := render(&req, job, f.res)
 	resp.Coalesced = coalesced
-	writeJSON(w, f.out.status, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// requestKey is the coalescing/cache key: program content hash plus
-// every result-relevant option — precisely the identity under which the
-// engines guarantee bit-identical results. Request.Base is deliberately
-// excluded: the incremental path is bit-identical to the cold one, so
-// base cannot change what a request computes.
-func requestKey(req *Request) (string, error) {
+// job validates req, parses its program, and builds the pipeline job
+// that computes it, recording into reg. Every error is the client's.
+func (s *Service) job(req *Request, reg *metrics.Registry) (pipeline.Job, error) {
 	switch req.Analysis {
 	case "", "explore":
 		req.Analysis = "explore"
 	case "abstract":
 	default:
-		return "", fmt.Errorf("unknown analysis %q (explore|abstract)", req.Analysis)
+		return pipeline.Job{}, fmt.Errorf("unknown analysis %q (explore|abstract)", req.Analysis)
 	}
-	if _, ok := parseReduction(req.Options.Reduction); !ok {
-		return "", fmt.Errorf("unknown reduction %q (full|stubborn)", req.Options.Reduction)
-	}
-	if req.Analysis == "abstract" && req.Options.Domain != "" && absdom.DomainByName(req.Options.Domain) == nil {
-		return "", fmt.Errorf("unknown domain %q (const|sign|interval)", req.Options.Domain)
-	}
-	h := sha256.Sum256([]byte(req.Program))
-	return fmt.Sprintf("%x|%s", h, optionsKey(req)), nil
-}
-
-// optionsKey is the program-independent part of requestKey — also the
-// identity under which incremental sessions are shared (a request may
-// replay the result another request with the same optionsKey left in
-// the session).
-func optionsKey(req *Request) string {
-	o := req.Options
-	return fmt.Sprintf("%s|red=%s coarsen=%t max=%d exact=%t dom=%s clan=%t outcomes=%t",
-		req.Analysis, o.Reduction, o.Coarsen, o.MaxConfigs, o.ExactKeys, o.Domain, o.ClanFold, o.Outcomes)
-}
-
-func parseReduction(s string) (explore.Reduction, bool) {
-	switch s {
+	red := explore.Full
+	switch req.Options.Reduction {
 	case "", "full":
-		return explore.Full, true
 	case "stubborn":
-		return explore.Stubborn, true
+		red = explore.Stubborn
+	default:
+		return pipeline.Job{}, fmt.Errorf("unknown reduction %q (full|stubborn)", req.Options.Reduction)
 	}
-	return 0, false
-}
-
-// run executes one coalesced flight: the engine run itself, then under
-// the lock the flight retires, cacheable results (completed, never
-// cancelled — a cancelled cut is timing-dependent) enter the cache, and
-// the per-run engine counters fold into the service aggregate.
-func (s *Service) run(ctx context.Context, key string, f *flight, req Request) {
-	out, reg := s.execute(ctx, &req)
-	s.mu.Lock()
-	f.out = out
-	delete(s.flights, key)
-	if out.resp.Cancelled {
-		s.stats.RunsCancelled++
-	} else if out.status == http.StatusOK {
-		s.cache[key] = s.lru.PushFront(&cacheEntry{key: key, out: out})
-		for s.cfg.CacheMax > 0 && s.lru.Len() > s.cfg.CacheMax {
-			oldest := s.lru.Back()
-			s.lru.Remove(oldest)
-			delete(s.cache, oldest.Value.(*cacheEntry).key)
-			s.stats.CacheEvictions++
+	var dom absdom.NumDomain
+	if req.Analysis == "abstract" && req.Options.Domain != "" {
+		if dom = absdom.DomainByName(req.Options.Domain); dom == nil {
+			return pipeline.Job{}, fmt.Errorf("unknown domain %q (const|sign|interval)", req.Options.Domain)
 		}
 	}
-	if reg != nil {
-		for name, v := range reg.Snapshot().Counters {
-			s.counters[name] += v
-		}
-	}
-	s.mu.Unlock()
-	f.cancel() // release the context; harmless after completion
-	close(f.done)
-}
-
-// incremental returns the live incremental session for an options key,
-// creating it (and evicting the least recently used session past
-// maxIncSessions) as needed. Returns nil when the service is closed —
-// the caller then falls back to a one-shot run, which the closed base
-// context cancels the usual way.
-func (s *Service) incremental(key string, adjust func(*abssem.Options)) *pipeline.Incremental {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.stats.IncrementalRuns++
-	if inc, ok := s.incs[key]; ok {
-		for i, k := range s.incOrder {
-			if k == key {
-				s.incOrder = append(append(s.incOrder[:i:i], s.incOrder[i+1:]...), key)
-				break
-			}
-		}
-		return inc
-	}
-	if len(s.incs) >= maxIncSessions {
-		oldest := s.incOrder[0]
-		s.incOrder = s.incOrder[1:]
-		delete(s.incs, oldest)
-	}
-	inc := pipeline.NewIncremental(pipeline.RunOptions{}, adjust)
-	s.incs[key] = inc
-	s.incOrder = append(s.incOrder, key)
-	return inc
-}
-
-// execute runs the request's engine under ctx on the shared pool, with
-// a private metrics registry (level bookkeeping is single-run state).
-func (s *Service) execute(ctx context.Context, req *Request) (*outcome, *metrics.Registry) {
 	prog, err := lang.Parse(req.Program)
 	if err != nil {
-		return &outcome{
-			resp:   Response{Analysis: req.Analysis, Error: err.Error()},
-			status: http.StatusBadRequest,
-		}, nil
+		return pipeline.Job{}, err
 	}
-	red, _ := parseReduction(req.Options.Reduction)
-	reg := metrics.New()
 	ro := pipeline.RunOptions{
 		Reduction:  red,
 		Coarsen:    req.Options.Coarsen,
@@ -514,62 +400,92 @@ func (s *Service) execute(ctx context.Context, req *Request) (*outcome, *metrics
 		ExactKeys:  req.Options.ExactKeys,
 		Metrics:    reg,
 	}
-
 	if req.Analysis == "abstract" {
-		adjust := func(ao *abssem.Options) {
-			if req.Options.Domain != "" {
-				ao.Domain = absdom.DomainByName(req.Options.Domain)
+		return pipeline.AnalyzeJob(prog, ro, func(ao *abssem.Options) {
+			if dom != nil {
+				ao.Domain = dom
 			}
 			ao.ClanFold = req.Options.ClanFold
-		}
-		// The hash mode must match the incremental layer's: clan folding
-		// reads local names, so only the named hash identifies "same
-		// analysis input" under it.
-		hash := lang.HashProgram(prog).ProgramHash(req.Options.ClanFold)
-		var res *abssem.Result
-		incremental := false
-		if req.Base != "" {
-			if inc := s.incremental(optionsKey(req), adjust); inc != nil {
-				res = inc.Configure(ro).AnalyzeEditContext(ctx, prog)
-				incremental = true
-			}
-		}
-		if res == nil {
-			res = pipeline.AnalyzeContext(ctx, prog, ro, adjust)
-		}
-		return &outcome{
-			resp: Response{
-				Analysis:    "abstract",
-				Summary:     res.String(),
-				States:      res.States,
-				Visits:      res.Visits,
-				Terminals:   res.TerminalCount,
-				MayError:    res.MayError,
-				Truncated:   res.Truncated,
-				Cancelled:   res.Cancelled,
-				ProgramHash: hash,
-				Incremental: incremental,
-			},
-			status: http.StatusOK,
-		}, reg
+		}), nil
 	}
+	return pipeline.ExploreJob(req.Program, prog, ro), nil
+}
 
-	res := pipeline.ExploreContext(ctx, prog, ro)
-	resp := Response{
-		Analysis:    "explore",
-		Summary:     res.String(),
-		States:      res.States,
-		Edges:       res.Edges,
-		Terminals:   len(res.Terminals),
-		Errors:      len(res.Errors),
-		Truncated:   res.Truncated,
-		Cancelled:   res.Cancelled,
-		ProgramHash: lang.HashProgram(prog).ProgramHash(false),
+// run executes one coalesced flight through the cache, which stores the
+// result unless the run was cancelled. Under the lock the flight then
+// retires and the run's engine counters fold into the service
+// aggregate. A panic is recovered here: the flight closes with it, so
+// every attached request answers 500, and nothing was stored.
+func (s *Service) run(ctx context.Context, f *flight, job pipeline.Job, reg *metrics.Registry) {
+	defer func() {
+		p := recover()
+		s.mu.Lock()
+		delete(s.flights, job.Key)
+		if p != nil {
+			f.panicked = fmt.Sprint(p)
+			s.stats.RunsPanicked++
+		} else {
+			if f.res.Cancelled {
+				s.stats.RunsCancelled++
+			}
+			s.fold(reg)
+		}
+		s.mu.Unlock()
+		f.cancel() // release the context; harmless after completion
+		close(f.done)
+	}()
+	if s.runHook != nil {
+		s.runHook()
 	}
-	if req.Options.Outcomes {
-		resp.Outcomes = res.TerminalStoreSet()
+	f.res = s.cache.Run(ctx, job)
+}
+
+// fold adds a request's engine counters to the service aggregate. The
+// caller holds s.mu.
+func (s *Service) fold(reg *metrics.Registry) {
+	metrics.EachCounter(func(c metrics.Counter) {
+		s.counters[c.String()] += reg.Get(c)
+	})
+}
+
+// summarize is what the service keeps of a result: the response fields
+// common to every request for it, including the terminal outcome set of
+// an explore run. Keeping the result itself would retain its program,
+// invariants and configurations for every cache entry.
+func summarize(res pipeline.Result) Response {
+	if r := res.Abstract; r != nil {
+		return Response{
+			Analysis:  "abstract",
+			Summary:   r.String(),
+			States:    r.States,
+			Visits:    r.Visits,
+			Terminals: r.TerminalCount,
+			MayError:  r.MayError,
+			Truncated: r.Truncated,
+			Cancelled: r.Cancelled,
+		}
 	}
-	return &outcome{resp: resp, status: http.StatusOK}, reg
+	r := res.Explore
+	return Response{
+		Analysis:  "explore",
+		Summary:   r.String(),
+		States:    r.States,
+		Edges:     r.Edges,
+		Terminals: len(r.Terminals),
+		Errors:    len(r.Errors),
+		Truncated: r.Truncated,
+		Cancelled: r.Cancelled,
+		Outcomes:  r.TerminalStoreSet(),
+	}
+}
+
+// render is req's response from a summary of its job's result.
+func render(req *Request, job pipeline.Job, sum Response) Response {
+	sum.ProgramHash = job.ProgramHash
+	if !req.Options.Outcomes {
+		sum.Outcomes = nil
+	}
+	return sum
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

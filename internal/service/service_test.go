@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -198,8 +199,8 @@ func TestResultCacheEviction(t *testing.T) {
 	}
 }
 
-// Program versions for the incremental (base-hash) request flow: v2
-// α-renames a parameter of v1, v3 edits bump's body, v4 α-renames v3.
+// Program versions for the resubmission flow: v2 α-renames a parameter
+// of v1, v3 edits bump's body, v4 α-renames v3.
 const (
 	svcIncV1 = `
 var g; var h;
@@ -239,75 +240,156 @@ func main() {
 `
 )
 
-// An abstract request carrying the previous version's program_hash runs
-// through the incremental session: responses stay bit-identical to
-// direct scratch runs while the analysis cache counters in /metrics show
-// the session's choice (one miss for a real edit, one hit for an
-// α-neutral resubmission that replays the previous result).
+// metricsCounters reads the aggregated engine counters from /metrics.
+func metricsCounters(t *testing.T, url string) map[string]int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body metricsBody
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return body.Counters
+}
+
+// Abstract results are keyed on the α-renamed program hash: an
+// α-equivalent resubmission is a cache hit with no base hint, its
+// response equals a scratch run's, and the counters in /metrics read as
+// if the fixpoint had run again; a real edit runs the engine.
 func TestIncrementalBaseRequests(t *testing.T) {
 	svc, ts := newSvc(t, 0)
-
 	scratch := func(src string) string {
 		return abssem.Analyze(lang.MustParse(src), abssem.Options{}).String()
 	}
-	counters := func() map[string]int64 {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var body metricsBody
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		return body.Counters
-	}
 
 	_, v1 := post(t, ts.URL, Request{Program: svcIncV1, Analysis: "abstract"})
-	if v1.ProgramHash == "" {
-		t.Fatalf("abstract response carries no program hash: %+v", v1)
+	if v1.ProgramHash == "" || v1.Cached {
+		t.Fatalf("first version: %+v", v1)
 	}
-	if v1.Incremental {
-		t.Fatal("base-less request flagged incremental")
+	c1 := metricsCounters(t, ts.URL)
+
+	for i, tc := range []struct {
+		src    string
+		cached bool
+	}{{svcIncV2, true}, {svcIncV3, false}, {svcIncV4, true}} {
+		_, out := post(t, ts.URL, Request{Program: tc.src, Analysis: "abstract"})
+		if out.Cached != tc.cached {
+			t.Fatalf("v%d: cached=%t, want %t", i+2, out.Cached, tc.cached)
+		}
+		if out.Summary != scratch(tc.src) {
+			t.Fatalf("v%d summary diverged from scratch:\n%s\nvs\n%s", i+2, out.Summary, scratch(tc.src))
+		}
+		if i == 0 {
+			// The hit replayed v1's deterministic counters.
+			c2 := metricsCounters(t, ts.URL)
+			if c2["abs_visits"] != 2*c1["abs_visits"] || c2["analysis_cache_hit"] != 1 {
+				t.Fatalf("hit did not replay the stored counters: before %v, after %v", c1, c2)
+			}
+		}
+	}
+	if st := svc.Stats(); st.Runs != 2 || st.CacheHits != 2 {
+		t.Fatalf("stats: %+v, want 2 runs / 2 cache hits", st)
+	}
+}
+
+// Under clan folding arm grouping reads local names, so a local rename
+// is a different analysis input and must miss.
+func TestClanFoldRenameMisses(t *testing.T) {
+	_, ts := newSvc(t, 0)
+	opts := Options{ClanFold: true}
+	_, v1 := post(t, ts.URL, Request{Program: svcIncV1, Analysis: "abstract", Options: opts})
+	_, v2 := post(t, ts.URL, Request{Program: svcIncV2, Analysis: "abstract", Options: opts})
+	if v2.Cached {
+		t.Fatal("local rename hit the cache under clan_fold")
+	}
+	if v1.ProgramHash == v2.ProgramHash {
+		t.Fatal("clan_fold responses carry the α hash, not the named one")
+	}
+	want := abssem.Analyze(lang.MustParse(svcIncV2), abssem.Options{ClanFold: true}).String()
+	if v2.Summary != want {
+		t.Fatalf("clan_fold v2 summary %q != scratch %q", v2.Summary, want)
+	}
+}
+
+// Explore results key on the exact source text: a failing assert renders
+// its expression into the outcome, so a parameter rename must not be
+// served the original's outcomes.
+func TestExploreOutcomesRenameMisses(t *testing.T) {
+	const failing = `
+var g;
+func check(k) { assert g == 3 * k; }
+func main() {
+  cobegin { g = 3; } || { check(1); } coend
+}
+`
+	renamed := strings.NewReplacer("(k)", "(n)", "* k", "* n").Replace(failing)
+	if lang.HashProgram(lang.MustParse(renamed)).ProgramHash(false) !=
+		lang.HashProgram(lang.MustParse(failing)).ProgramHash(false) {
+		t.Fatal("the rename is not α-equivalent")
+	}
+	_, ts := newSvc(t, 0)
+	req := Request{Program: failing, Options: Options{Outcomes: true}}
+	post(t, ts.URL, req)
+	req.Program = renamed
+	_, out := post(t, ts.URL, req)
+	if out.Cached {
+		t.Fatal("explore request for an α-renamed program hit the cache")
+	}
+	want := explore.Explore(lang.MustParse(renamed), explore.Options{}).TerminalStoreSet()
+	if !reflect.DeepEqual(out.Outcomes, want) {
+		t.Fatalf("outcomes %q, want scratch %q", out.Outcomes, want)
+	}
+	if !strings.Contains(strings.Join(want, "\n"), "3 * n") {
+		t.Fatalf("no outcome names the renamed parameter: %q", want)
+	}
+}
+
+// A panicking run answers 500 to its requester and to every request
+// coalesced onto it, is counted, and leaves nothing cached.
+func TestRunPanicAnswers500(t *testing.T) {
+	svc, ts := newSvc(t, 0)
+	release := make(chan struct{})
+	svc.runHook = func() {
+		<-release
+		panic("boom")
+	}
+	codes := make(chan int, 2)
+	send := func() {
+		code, _ := post(t, ts.URL, Request{Program: smallProg})
+		codes <- code
+	}
+	go send()
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.Stats().Inflight == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("request never became in-flight")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	go send()
+	for svc.Stats().CoalesceHits == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never coalesced")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusInternalServerError {
+			t.Fatalf("panicked run answered %d, want 500", code)
+		}
 	}
 
-	// v2 (α-rename) opens the session; its run is the session's baseline.
-	_, v2 := post(t, ts.URL, Request{Program: svcIncV2, Analysis: "abstract", Base: v1.ProgramHash})
-	if !v2.Incremental {
-		t.Fatalf("based request not routed through the incremental session: %+v", v2)
+	svc.runHook = nil
+	code, out := post(t, ts.URL, Request{Program: smallProg})
+	if code != http.StatusOK || out.Cached {
+		t.Fatalf("after the panic: status %d, %+v; want a fresh run", code, out)
 	}
-	if v2.Summary != scratch(svcIncV2) {
-		t.Fatalf("incremental v2 summary diverged from scratch:\n%s\nvs\n%s", v2.Summary, scratch(svcIncV2))
-	}
-
-	// v3 edits bump: the session runs the plain fixpoint, counting
-	// exactly one miss.
-	c := counters()
-	_, v3 := post(t, ts.URL, Request{Program: svcIncV3, Analysis: "abstract", Base: v2.ProgramHash})
-	if v3.Summary != scratch(svcIncV3) {
-		t.Fatalf("incremental v3 summary diverged from scratch")
-	}
-	c3 := counters()
-	if d := c3["analysis_cache_miss"] - c["analysis_cache_miss"]; d != 1 {
-		t.Fatalf("edited re-analysis counted %d misses, want 1: %v", d, c3)
-	}
-	if d := c3["analysis_cache_hit"] - c["analysis_cache_hit"]; d != 0 {
-		t.Fatalf("edited re-analysis counted %d hits, want 0: %v", d, c3)
-	}
-
-	// v4 α-renames v3: same program hash, so the whole previous result is
-	// reused without re-running the fixpoint.
-	_, v4 := post(t, ts.URL, Request{Program: svcIncV4, Analysis: "abstract", Base: v3.ProgramHash})
-	if v4.Summary != scratch(svcIncV4) {
-		t.Fatalf("incremental v4 summary diverged from scratch")
-	}
-	if c4 := counters(); c4["analysis_cache_hit"]-c3["analysis_cache_hit"] != 1 {
-		t.Fatalf("α-neutral resubmission did not take the whole-program fast path: %v", c4)
-	}
-
-	st := svc.Stats()
-	if st.IncrementalRuns != 3 {
-		t.Fatalf("stats: %+v, want 3 incremental runs", st)
+	if st := svc.Stats(); st.RunsPanicked != 1 || st.Runs != 2 || st.Inflight != 0 {
+		t.Fatalf("stats: %+v, want 1 panicked of 2 runs", st)
 	}
 }
 
