@@ -254,7 +254,8 @@ func (a *Analyzer) Abstract() *AbstractResult {
 // hash and normalized options key (pipeline.AnalyzeJob) —
 // AbstractWith(defaults) and Abstract() share one cache entry, differing
 // options never collide, and a hit on the analyzer's own program returns
-// the stored result itself. Zero-valued execution fields (Workers, Pool,
+// the stored result itself and replays no counters (its registry already
+// holds them). Zero-valued execution fields (Workers, Pool,
 // Metrics) inherit the analyzer's configuration; they never affect
 // results, only how the run executes.
 func (a *Analyzer) AbstractWith(opts AbstractOptions) *AbstractResult {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"psa/internal/absdom"
+	"psa/internal/abssem"
 	"psa/internal/lang"
 	"psa/internal/metrics"
 	"psa/internal/sem"
@@ -131,6 +133,26 @@ func TestAbstractCacheKeyed(t *testing.T) {
 	}
 	if hits := m.Get(metrics.AnalysisCacheHit); hits != 3 {
 		t.Errorf("analysis_cache_hit = %d, want 3", hits)
+	}
+}
+
+// A repeat query on the analyzer's own program replays no counters: the
+// analyzer's one registry already holds its run's, so after two
+// Abstract() calls the engine counters equal one scratch run's.
+func TestAbstractRepeatQueryReplaysNothing(t *testing.T) {
+	m := metrics.New()
+	a, _ := Parse(demoSrc)
+	a.Configure(RunOptions{Metrics: m})
+	a.Abstract()
+	a.Abstract()
+	want := metrics.New()
+	abssem.Analyze(lang.MustParse(demoSrc), abssem.Options{Metrics: want})
+	if hits := m.Get(metrics.AnalysisCacheHit); hits != 1 {
+		t.Fatalf("analysis_cache_hit = %d, want 1", hits)
+	}
+	got, wantCtr := m.Snapshot().DeterministicCounters(), want.Snapshot().DeterministicCounters()
+	if !reflect.DeepEqual(got, wantCtr) {
+		t.Fatalf("counters after a repeat query %v, one scratch run %v", got, wantCtr)
 	}
 }
 

@@ -29,21 +29,31 @@ type Job struct {
 }
 
 // ExploreJob is a concrete exploration of prog, parsed from src, under
-// ro. Its key keeps the exact source text, not a program hash: an
-// α-renamed or reformatted version explores the same space, but an error
-// outcome renders its source position and the asserted expression
-// ("ERR:7:5: assertion failed: 3 != 3 * a4"), so outcome lists differ.
-func ExploreJob(src string, prog *lang.Program, ro RunOptions) Job {
+// ro; with outcomes, its Result also carries the run's canonical
+// terminal-outcome set, which is then part of the key. Its key keeps the
+// exact source text, not a program hash: an α-renamed or reformatted
+// version explores the same space, but an error outcome renders its
+// source position and the asserted expression ("ERR:7:5: assertion
+// failed: 3 != 3 * a4"), so outcome lists differ.
+func ExploreJob(src string, prog *lang.Program, ro RunOptions, outcomes bool) Job {
 	sum := sha256.Sum256([]byte(src))
+	key := "explore|" + hex.EncodeToString(sum[:]) + "|" + ro.Key()
+	if outcomes {
+		key += "|outcomes"
+	}
 	return Job{
-		Key:         "explore|" + hex.EncodeToString(sum[:]) + "|" + ro.Key(),
+		Key:         key,
 		ProgramHash: lang.HashProgram(prog).ProgramHash(false),
 		prog:        prog,
 		m:           ro.Metrics,
 		run: func(ctx context.Context, m *metrics.Registry) Result {
 			r := ro
 			r.Metrics = m
-			return Result{Explore: ExploreContext(ctx, prog, r)}
+			res := Result{Explore: ExploreContext(ctx, prog, r)}
+			if outcomes {
+				res.Outcomes = res.Explore.TerminalStoreSet()
+			}
+			return res
 		},
 	}
 }
@@ -75,10 +85,12 @@ func AnalyzeJob(prog *lang.Program, ro RunOptions, adjust func(*abssem.Options))
 }
 
 // Result is a job's result: Explore for explore jobs, Abstract for
-// abstract ones.
+// abstract ones. Outcomes is Explore.TerminalStoreSet() when the job
+// asked for it (ExploreJob), nil otherwise.
 type Result struct {
 	Explore  *explore.Result
 	Abstract *abssem.Result
+	Outcomes []string
 }
 
 // Cancelled reports that the run was cancelled before completion.
@@ -105,8 +117,9 @@ type Cache[V any] struct {
 	stats   CacheStats
 }
 
-// CacheStats counts a cache's lookups and evictions.
-type CacheStats struct{ Hits, Misses, Evictions int64 }
+// CacheStats counts a cache's hits and evictions. Misses are counted
+// as analysis_cache_miss in each job's registry.
+type CacheStats struct{ Hits, Evictions int64 }
 
 type cacheEntry[V any] struct {
 	key    string
@@ -135,7 +148,7 @@ func NewSummaryCache[V any](max int, keep func(Result) V) *Cache[V] {
 	return &Cache[V]{max: max, keep: keep, entries: map[string]*list.Element{}}
 }
 
-// Stats returns the cache's hit, miss and eviction counts.
+// Stats returns the cache's hit and eviction counts.
 func (c *Cache[V]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -145,12 +158,15 @@ func (c *Cache[V]) Stats() CacheStats {
 // Lookup answers j from the cache, counting analysis_cache_hit or _miss
 // in the job's registry. A hit replays the deterministic counter deltas
 // the stored run recorded into that registry (nil gets nothing), so it
-// reads as a scratch run even in the metrics.
+// reads as a scratch run even in the metrics. The one exception is a
+// repeat query: a hit on the very program a whole-result entry is
+// already bound to returns the stored result itself and replays
+// nothing, because that program's run, or the hit that bound it,
+// already recorded them (core.Analyzer asks again on one registry).
 func (c *Cache[V]) Lookup(j Job) (V, bool) {
 	c.mu.Lock()
 	elem, ok := c.entries[j.Key]
 	if !ok {
-		c.stats.Misses++
 		c.mu.Unlock()
 		j.m.Inc(metrics.AnalysisCacheMiss)
 		var zero V
@@ -159,14 +175,17 @@ func (c *Cache[V]) Lookup(j Job) (V, bool) {
 	c.stats.Hits++
 	c.lru.MoveToFront(elem)
 	e := elem.Value.(*cacheEntry[V])
-	if c.rebind != nil && e.prog != j.prog {
+	repeat := c.rebind != nil && e.prog == j.prog
+	if c.rebind != nil && !repeat {
 		e.val, e.prog = c.rebind(e.val, j.prog), j.prog
 	}
 	val := e.val
 	c.mu.Unlock()
 	j.m.Inc(metrics.AnalysisCacheHit)
-	for ctr, d := range e.deltas {
-		j.m.Add(metrics.Counter(ctr), d)
+	if !repeat {
+		for ctr, d := range e.deltas {
+			j.m.Add(metrics.Counter(ctr), d)
+		}
 	}
 	return val, true
 }

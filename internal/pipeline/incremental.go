@@ -39,7 +39,9 @@ func (inc *Incremental) Configure(ro RunOptions) *Incremental {
 }
 
 // AnalyzeEdit analyzes prog, answering from the previous version when
-// the two share a cache key.
+// the two share a cache key. Pass each version as its own parse:
+// resubmitting the very program the previous call answered is a repeat
+// query, which replays no counters (Cache.Lookup).
 func (inc *Incremental) AnalyzeEdit(prog *lang.Program) *abssem.Result {
 	inc.mu.Lock()
 	ro := inc.ro

@@ -204,7 +204,7 @@ func TestCacheHitReplaysScratchCounters(t *testing.T) {
 			func(src string, ro RunOptions) Job { return AnalyzeJob(lang.MustParse(src), ro, nil) },
 			func(src string, ro RunOptions) { Analyze(lang.MustParse(src), ro, nil) }},
 		{"explore", incBase, incBase,
-			func(src string, ro RunOptions) Job { return ExploreJob(src, lang.MustParse(src), ro) },
+			func(src string, ro RunOptions) Job { return ExploreJob(src, lang.MustParse(src), ro, true) },
 			func(src string, ro RunOptions) { Explore(lang.MustParse(src), ro) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -241,7 +241,7 @@ func TestCacheNeverStoresCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := NewCache(0)
-	for _, job := range []Job{AnalyzeJob(prog, RunOptions{}, nil), ExploreJob(src, prog, RunOptions{})} {
+	for _, job := range []Job{AnalyzeJob(prog, RunOptions{}, nil), ExploreJob(src, prog, RunOptions{}, false)} {
 		if res := c.Run(ctx, job); !res.Cancelled() {
 			t.Fatalf("%s: pre-cancelled run completed", job.Key)
 		}

@@ -185,10 +185,12 @@ type Service struct {
 // flight is one in-flight engine run shared by every coalesced request.
 // res and panicked are set before done closes.
 type flight struct {
-	done     chan struct{}
-	res      Response // summarize'd
-	panicked string   // the recovered panic value, rendered
-	refs     int      // attached requests; last detach cancels the run
+	done chan struct{}
+	res  Response // summarize'd
+	// panicked is the value the run panicked with, nil if it did not (a
+	// panic(nil) recovers as *runtime.PanicNilError).
+	panicked any
+	refs     int // attached requests; last detach cancels the run
 	cancel   context.CancelFunc
 }
 
@@ -321,7 +323,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if res, ok := s.cache.Lookup(job); ok {
 		s.fold(reg)
 		s.mu.Unlock()
-		resp := render(&req, job, res)
+		resp := render(job, res)
 		resp.Cached = true
 		writeJSON(w, http.StatusOK, resp)
 		return
@@ -353,12 +355,12 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if f.panicked != "" {
+	if f.panicked != nil {
 		writeJSON(w, http.StatusInternalServerError,
-			Response{Analysis: req.Analysis, Error: "analysis panicked: " + f.panicked})
+			Response{Analysis: req.Analysis, Error: fmt.Sprint("analysis panicked: ", f.panicked)})
 		return
 	}
-	resp := render(&req, job, f.res)
+	resp := render(job, f.res)
 	resp.Coalesced = coalesced
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -408,7 +410,7 @@ func (s *Service) job(req *Request, reg *metrics.Registry) (pipeline.Job, error)
 			ao.ClanFold = req.Options.ClanFold
 		}), nil
 	}
-	return pipeline.ExploreJob(req.Program, prog, ro), nil
+	return pipeline.ExploreJob(req.Program, prog, ro, req.Options.Outcomes), nil
 }
 
 // run executes one coalesced flight through the cache, which stores the
@@ -422,7 +424,7 @@ func (s *Service) run(ctx context.Context, f *flight, job pipeline.Job, reg *met
 		s.mu.Lock()
 		delete(s.flights, job.Key)
 		if p != nil {
-			f.panicked = fmt.Sprint(p)
+			f.panicked = p
 			s.stats.RunsPanicked++
 		} else {
 			if f.res.Cancelled {
@@ -450,8 +452,9 @@ func (s *Service) fold(reg *metrics.Registry) {
 
 // summarize is what the service keeps of a result: the response fields
 // common to every request for it, including the terminal outcome set of
-// an explore run. Keeping the result itself would retain its program,
-// invariants and configurations for every cache entry.
+// an explore job that asked for it. Keeping the result itself would
+// retain its program, invariants and configurations for every cache
+// entry.
 func summarize(res pipeline.Result) Response {
 	if r := res.Abstract; r != nil {
 		return Response{
@@ -475,16 +478,13 @@ func summarize(res pipeline.Result) Response {
 		Errors:    len(r.Errors),
 		Truncated: r.Truncated,
 		Cancelled: r.Cancelled,
-		Outcomes:  r.TerminalStoreSet(),
+		Outcomes:  res.Outcomes,
 	}
 }
 
-// render is req's response from a summary of its job's result.
-func render(req *Request, job pipeline.Job, sum Response) Response {
+// render is a request's response from a summary of its job's result.
+func render(job pipeline.Job, sum Response) Response {
 	sum.ProgramHash = job.ProgramHash
-	if !req.Options.Outcomes {
-		sum.Outcomes = nil
-	}
 	return sum
 }
 

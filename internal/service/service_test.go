@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -173,6 +174,30 @@ func TestResultCache(t *testing.T) {
 	st := svc.Stats()
 	if st.Runs != 2 || st.CacheHits != 1 {
 		t.Fatalf("stats after cache exercise: %+v, want 2 runs / 1 cache hit", st)
+	}
+}
+
+// The outcome set is built only for requests that ask for it, and the
+// flag is part of the key: neither kind of request answers the other.
+func TestOutcomesKeyed(t *testing.T) {
+	svc, ts := newSvc(t, 0)
+	want := explore.Explore(lang.MustParse(smallProg), explore.Options{}).TerminalStoreSet()
+	for i, tc := range []struct {
+		outcomes, cached bool
+	}{{false, false}, {true, false}, {false, true}, {true, true}} {
+		_, out := post(t, ts.URL, Request{Program: smallProg, Options: Options{Outcomes: tc.outcomes}})
+		if out.Cached != tc.cached {
+			t.Fatalf("request %d (outcomes %v): cached %v, want %v", i, tc.outcomes, out.Cached, tc.cached)
+		}
+		if tc.outcomes && !reflect.DeepEqual(out.Outcomes, want) {
+			t.Fatalf("request %d: outcomes %q, want scratch %q", i, out.Outcomes, want)
+		}
+		if !tc.outcomes && out.Outcomes != nil {
+			t.Fatalf("request %d: outcomes %q sent unasked", i, out.Outcomes)
+		}
+	}
+	if st := svc.Stats(); st.Runs != 2 || st.CacheHits != 2 {
+		t.Fatalf("stats %+v, want 2 runs / 2 cache hits", st)
 	}
 }
 
@@ -390,6 +415,18 @@ func TestRunPanicAnswers500(t *testing.T) {
 	}
 	if st := svc.Stats(); st.RunsPanicked != 1 || st.Runs != 2 || st.Inflight != 0 {
 		t.Fatalf("stats: %+v, want 1 panicked of 2 runs", st)
+	}
+
+	// A panic value that renders as "" is still a panic.
+	for i, v := range []any{"", errors.New("")} {
+		svc.runHook = func() { panic(v) }
+		req := Request{Program: smallProg, Options: Options{MaxConfigs: 100 + i}}
+		if code, out := post(t, ts.URL, req); code != http.StatusInternalServerError {
+			t.Fatalf("panic(%#v): status %d, %+v; want 500", v, code, out)
+		}
+	}
+	if st := svc.Stats(); st.RunsPanicked != 3 || st.Inflight != 0 {
+		t.Fatalf("stats: %+v, want 3 panicked runs", st)
 	}
 }
 
