@@ -78,8 +78,11 @@ fmt-check:
 		echo "these files need gofmt:"; echo "$$out"; exit 1; \
 	fi
 
+# The explorer's claim order varies with scheduling, so the claim-table
+# and differential tests repeat under the race detector.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Parallel|Dep|Claim|Scratch' ./internal/explore ./internal/sched
 
 # One iteration of every benchmark plus the paperbench regression gate —
 # the CI bench-smoke job.

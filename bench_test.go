@@ -72,6 +72,20 @@ func BenchmarkPhilosophers(b *testing.B) { // E4
 			}
 		})
 	}
+	// The heaviest item of perfbench's paper-batch: full expansion with a
+	// Collector fused through pipeline.MultiSink, on a shared two-worker
+	// pool — the sink path (events materialized for every transition).
+	b.Run(benchName("full+collector", 5), func(b *testing.B) {
+		prog := workloads.Philosophers(5)
+		pool := sched.NewPool(2)
+		defer pool.Close()
+		ro := pipeline.RunOptions{Reduction: explore.Full, MaxConfigs: 1 << 22, Workers: 2, Pool: pool}
+		for i := 0; i < b.N; i++ {
+			col := analysis.NewCollector(prog)
+			res := pipeline.Explore(prog, ro, pipeline.NamedSink{Name: "collector", Sink: col})
+			b.ReportMetric(float64(res.States), "states")
+		}
+	})
 }
 
 func BenchmarkFig3Folding(b *testing.B) { // E5
@@ -618,7 +632,6 @@ func BenchmarkSchedDep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dep.Run(seeds,
 					func(j int, p *task, _ *struct{}) { time.Sleep(delay(*p)) },
-					func(int, *task, *struct{}) {},
 					func(j int, p *task, _ *struct{}, emit func(task)) bool {
 						if p.level+1 < depth {
 							emit(task{chain: p.chain, level: p.level + 1})

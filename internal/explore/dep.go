@@ -2,7 +2,9 @@ package explore
 
 import (
 	"context"
+	"sync"
 
+	"psa/internal/lang"
 	"psa/internal/metrics"
 	"psa/internal/sched"
 	"psa/internal/sem"
@@ -11,43 +13,44 @@ import (
 // exploreDep is the explorer's one worklist loop: BFS generation run on
 // sched.DepRounds, so no level barrier exists. Each frontier entry
 // becomes one task in discovery order. Workers expand tasks
-// (enabledness, stubborn sets, firing, canonical encoding or
-// fingerprinting) as soon as they are published — freely crossing BFS
-// level boundaries — and the serial merge chain does the BFS
-// bookkeeping in strict task order. One deep coarsened run therefore
+// (enabledness, stubborn sets, co-enabled conflicts, firing, canonical
+// encoding or fingerprinting, claiming) as soon as they are published —
+// freely crossing BFS level boundaries — and the serial merge does the
+// BFS bookkeeping in strict task order. One deep coarsened run therefore
 // never stalls a whole level: successors of already-merged entries are
 // being expanded while the straggler is still running. Leveled rounds
 // on sched.Rounds measured slower for this engine (DESIGN.md §7).
 //
 // At 0 or 1 workers the executor runs on the nil pool, which performs
-// expand, own, and merge inline for one task after another: the plain
+// expand and merge inline for one task after another: the plain
 // sequential BFS.
 //
-// State identity is resolved in a serial "own" chain between expansion
-// and merge: the visited set (in fingerprint mode an fpSet internally
-// sharded by fingerprint prefix — each shard owns dedup for its
-// fingerprint range) is consulted in exactly sequential order, one task
-// at a time, recording a freshness verdict per fired transition. This
-// is the deterministic cross-shard reconciliation: which worker
-// computed an identity never matters, because insertion order — and
-// therefore dedup outcome, discovery-parent attribution, and
-// next-frontier order — is the inline run's verbatim. With workers the
-// own chain runs ahead of the merge, so on a truncated run it may
-// insert identities the merge never reached; that over-insertion is
-// invisible in Result and in every deterministic counter (freshness
-// verdicts of merged entries depend only on prior entries in the same
-// order) and shows up only in the perf-only visited_bytes gauge.
+// State identity is resolved during expansion by claiming: the visited
+// set is a concurrent claim table mapping each state identity to the
+// smallest claimID — (task, transition) in sequential firing order —
+// that reached it. Expansion steps each transition into per-worker
+// scratch storage, identifies the scratch successor, and claims it. A
+// transition whose state an earlier transition already claimed is a
+// duplicate for sure and is never built; otherwise the successor is
+// committed (copied out of the scratch). The merge then reads the
+// verdict: a successor is fresh iff its own claim is still the smallest.
+// By the time task i merges, every task before it has expanded, so
+// every claim that precedes task i's transitions in sequential order is
+// in the table, and the verdict is the sequential FIFO loop's verbatim:
+// which worker computed an identity never matters, and neither does the
+// order claims arrived in. Claims by tasks the merge never reaches (a
+// truncated or cancelled run) are invisible in Result and in every
+// deterministic counter; they show only in the perf-only visited_bytes
+// gauge and states_built counter.
 //
 // All Result fields, the sink event stream, and every deterministic
 // metrics counter — including the per-level stats and MaxFrontier,
 // reconstructed from a FIFO queue's wave countdown — are bit-identical
 // at any worker count.
-// Cancellation rides dep.RunContext: the merge chain stops before its
-// next task once ctx fires, in-flight expansions drain, and the partial
+// Cancellation rides dep.RunContext: the merge stops before its next
+// task once ctx fires, in-flight expansions drain, and the partial
 // Result is coherent for the merged prefix — the same cut shape as
-// MaxConfigs truncation (over-inserted visited-set identities from the
-// own chain running ahead are invisible in the Result, exactly as on a
-// truncated run).
+// MaxConfigs truncation.
 func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 	pool := opts.Pool
 	if pool == nil || opts.Workers == 0 || opts.Workers == 1 {
@@ -71,15 +74,14 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 
 	seed := item{cfg: c0}
 	if ky.exact {
-		k0 := ky.keyOf(c0)
-		vis.addKey(k0)
-		seed.key = k0
+		seed.key = ky.keyOf(c0)
+		vis.claim(seed.key, sem.Fingerprint{}, seedClaim)
 		if res.Graph != nil {
-			res.Graph.Nodes[k0] = &Node{Key: k0, Index: 0}
-			res.Graph.Order = append(res.Graph.Order, k0)
+			res.Graph.Nodes[seed.key] = &Node{Key: seed.key, Index: 0}
+			res.Graph.Order = append(res.Graph.Order, seed.key)
 		}
 	} else {
-		vis.addFP(ky.fpOf(c0))
+		vis.claim("", ky.fpOf(c0), seedClaim)
 	}
 	res.States = 1
 	m.Inc(metrics.StatesUnique)
@@ -95,10 +97,13 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 			s.terminal = true
 			if !ky.exact {
 				// Terminal keys are exact even in fingerprint mode; hoist
-				// the encoding off the serial chains.
+				// the encoding off the serial merge.
 				s.tkey = ky.keyOf(cur.cfg)
 			}
 			return
+		}
+		if opts.Sink != nil {
+			s.conflicts = coEnabledConflicts(cur.cfg, s.enabled)
 		}
 		expand := s.enabled
 		if opts.Reduction == Stubborn {
@@ -109,29 +114,37 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 		// transition must stay within the access set the stubborn check
 		// vetted (the first action), or interleavings are lost.
 		absorbLateCritical := opts.Reduction == Full
+		sc := scratchPool.Get().(*sem.Scratch)
+		built := 0
 		s.fired = make([]firedStep, len(expand))
+		if ky.exact {
+			s.keys = make([]sem.Key, len(expand))
+		}
+		if withEvents(opts) {
+			s.events = make([]stepEvents, len(expand))
+		}
 		for j, pi := range expand {
 			f := &s.fired[j]
-			f.step, f.absorbed = fire(cur.cfg, pi, opts, absorbLateCritical)
+			step, absorbed := fire(cur.cfg, pi, opts, absorbLateCritical, sc)
+			f.stmt, f.proc, f.absorbed = step.Stmt, int32(pi), int32(absorbed)
+			if s.events != nil {
+				s.events[j] = stepEvents{step.Events, step.Allocs}
+			}
+			var k sem.Key
 			if ky.exact {
-				f.key = ky.keyOf(f.step.Config)
+				k = ky.keyOf(step.Config)
+				s.keys[j] = k
 			} else {
-				f.fp = ky.fpOf(f.step.Config)
+				f.fp = ky.fpOf(step.Config)
+			}
+			if vis.claim(k, f.fp, claimID(i, j)) {
+				f.cfg = sc.Commit()
+				built++
 			}
 		}
-	}
-
-	// The own chain: serial, strict task order, sole toucher of the
-	// visited set. Runs concurrently with merges of earlier tasks.
-	own := func(i int, cur *item, s *depSlot) {
-		for j := range s.fired {
-			f := &s.fired[j]
-			if ky.exact {
-				f.fresh = vis.addKey(f.key)
-			} else {
-				f.fresh = vis.addFP(f.fp)
-			}
-		}
+		sc.Reset()
+		scratchPool.Put(sc)
+		m.Add(metrics.StatesBuilt, int64(built))
 	}
 
 	// total counts published tasks; total-i is the frontier size (a FIFO
@@ -140,6 +153,9 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 	total := 1
 	levelRemaining := 1
 	m.BeginLevel(1)
+	// step is the one StepResult every Sink.Transition call receives,
+	// refilled per transition (sinks must not retain it).
+	var step sem.StepResult
 
 	merge := func(i int, cur *item, s *depSlot, emit func(item)) bool {
 		if levelRemaining == 0 {
@@ -169,38 +185,50 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 			}
 			return true
 		}
-		if opts.Sink != nil {
-			reportCoEnabled(cur.cfg, s.enabled, opts.Sink)
+		for _, cf := range s.conflicts {
+			opts.Sink.CoEnabled(cur.cfg, cf.a, cf.b, cf.loc, cf.ww)
 		}
 		if opts.Reduction == Stubborn {
 			countStubbornDecision(m, len(s.fired), len(s.enabled))
 		}
 		for j := range s.fired {
 			f := &s.fired[j]
-			step := f.step
+			var k sem.Key // empty in fingerprint mode
+			if ky.exact {
+				k = s.keys[j]
+			}
+			// Fresh iff this transition still holds the smallest claim:
+			// every claim that precedes it in sequential order is in.
+			fresh := f.cfg != nil && vis.owner(k, f.fp) == claimID(i, j)
+			if !fresh {
+				f.cfg = nil // a later-beaten commit is garbage
+			}
+			step = sem.StepResult{Config: f.cfg, Stmt: f.stmt, Proc: cur.cfg.Procs[f.proc].Path}
+			if s.events != nil {
+				step.Events, step.Allocs = s.events[j].events, s.events[j].allocs
+			}
 			res.Edges++
 			m.Inc(metrics.TransitionsFired)
 			m.Inc(metrics.StatesGenerated)
 			m.Add(metrics.CoarsenedSteps, int64(f.absorbed))
 			if opts.Sink != nil {
-				opts.Sink.Transition(step)
+				opts.Sink.Transition(&step)
 			}
 			if opts.CollectEvents {
 				res.Events = append(res.Events, step.Events...)
 				res.Allocs = append(res.Allocs, step.Allocs...)
 			}
-			k := f.key // empty in fingerprint mode
 			if res.Graph != nil {
 				res.Graph.Nodes[cur.key].Out = append(res.Graph.Nodes[cur.key].Out,
-					Edge{To: k, Proc: step.Proc, Stmt: describeStep(step)})
+					Edge{To: k, Proc: step.Proc, Stmt: describeStep(&step)})
 			}
-			if f.fresh {
+			if fresh {
 				res.States++
 				m.Inc(metrics.StatesUnique)
 				if res.Graph != nil {
 					res.Graph.Nodes[k] = &Node{
 						Key: k, Index: len(res.Graph.Order),
-						Parent: cur.key, ParentProc: step.Proc, ParentStmt: describeStep(step),
+						Parent: cur.key, ParentProc: step.Proc, ParentStmt: describeStep(&step),
 					}
 					res.Graph.Order = append(res.Graph.Order, k)
 				}
@@ -217,30 +245,68 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 		return true
 	}
 
-	if !dep.RunContext(ctx, []item{seed}, expand, own, merge) && !res.Truncated {
+	if !dep.RunContext(ctx, []item{seed}, expand, merge) && !res.Truncated {
 		res.Cancelled = true
 	}
 	m.EndLevel()
 	return res
 }
 
-// depSlot is one task's precomputed results: the enabled set, the fired
-// transitions, and the lazily-exact terminal key in fingerprint mode —
-// everything the serial merge needs for the task's bookkeeping.
+// scratchPool recycles the storage expansions step successors into, so
+// a worker reuses one sem.Scratch across tasks and runs, and a small run
+// allocates none.
+var scratchPool = sync.Pool{New: func() any { return new(sem.Scratch) }}
+
+// seedClaim is the initial configuration's claim, below every
+// transition's.
+const seedClaim = 0
+
+// claimID orders transitions as the sequential loop fires them: after
+// the seed, transition j of task i in (i, j) lexicographic order. A
+// configuration has far fewer than 2²⁴ processes, so j fits the low
+// bits.
+func claimID(task, trans int) uint64 { return uint64(task+1)<<24 | uint64(trans) }
+
+// depSlot is one task's precomputed results: the enabled set, the
+// co-enabled conflicts for the sink, the fired transitions with their
+// exact keys (exact mode) and event streams (when a sink or event
+// collection wants them), and the lazily-exact terminal key in
+// fingerprint mode — everything the serial merge needs for the task's
+// bookkeeping. Transition j of task i holds claimID(i, j).
 type depSlot struct {
-	terminal bool
-	enabled  []int
-	fired    []firedStep
-	tkey     sem.Key
+	terminal  bool
+	enabled   []int
+	conflicts []conflict
+	fired     []firedStep
+	keys      []sem.Key
+	events    []stepEvents
+	tkey      sem.Key
 }
 
-// firedStep is one fired transition: the step, its state identity (key
-// in exact mode, fingerprint otherwise), the coarsened micro-steps it
-// absorbed, and the own chain's freshness verdict.
+// firedStep is one fired transition, kept small because every generated
+// successor has one until its task merges: the committed successor (nil
+// when an earlier transition had already claimed the state at
+// expansion), its fingerprint (fingerprint mode), the statement, the
+// index of the stepped process in the parent, and the coarsened
+// micro-steps it absorbed.
 type firedStep struct {
-	step     *sem.StepResult
-	key      sem.Key         // exact mode
-	fp       sem.Fingerprint // fingerprint mode
-	absorbed int
-	fresh    bool
+	cfg      *sem.Config
+	fp       sem.Fingerprint
+	stmt     lang.Stmt
+	proc     int32
+	absorbed int32
+}
+
+// stepEvents is a fired transition's instrumentation.
+type stepEvents struct {
+	events []sem.Event
+	allocs []sem.AllocEvent
+}
+
+// conflict is one co-enabled conflicting action pair, as Sink.CoEnabled
+// receives it.
+type conflict struct {
+	a, b lang.NodeID
+	loc  sem.Loc
+	ww   bool
 }

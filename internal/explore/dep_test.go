@@ -199,8 +199,8 @@ func TestParallelSinkSeesEverything(t *testing.T) {
 
 // Truncated runs must equal the inline truncated run exactly: the
 // cut falls on the same discovery, and the explored prefix — counts,
-// terminals, errors — matches. The own chain's over-insertions past the
-// cut must never leak into the Result.
+// terminals, errors — matches. Claims made by expansions past the cut
+// must never leak into the Result.
 func TestDepTruncationMatchesSequential(t *testing.T) {
 	mk := func() *sem.Config { return sem.NewConfig(workloads.Philosophers(4)) }
 	for _, max := range []int{50, 200, 1000} {

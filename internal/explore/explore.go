@@ -107,9 +107,14 @@ type Options struct {
 }
 
 // Sink receives instrumentation during exploration. Implementations live
-// in package analysis.
+// in package analysis. Callbacks arrive from the serial merge in
+// sequential order, identical at every worker count.
 type Sink interface {
-	// Transition is called once per explored edge with its step result.
+	// Transition is called once per explored edge with its step result:
+	// Events, Allocs, Stmt and Proc always; Config only when the edge
+	// discovers a new configuration, nil for an edge into an
+	// already-discovered one (the explorer does not build those). res
+	// is reused across calls, so a sink must not retain it.
 	Transition(res *sem.StepResult)
 	// CoEnabled is called for every pair of co-enabled conflicting
 	// actions observed at some reachable configuration: stmtA of one
@@ -233,42 +238,43 @@ func newKeyer(opts Options) keyer {
 	return k
 }
 
-// visited is the explorer's dedup set, in either key mode. Only the
-// pipeline's serial own chain touches it, so it needs no locking.
+// visited is the explorer's claim table (see exploreDep), in either key
+// mode: an exact keySet or a fingerprint fpSet. Expanding workers claim
+// concurrently; the merge reads owners.
 type visited struct {
-	keys     map[sem.Key]bool
-	keyBytes int64
-	fps      *fpSet
+	keys *keySet
+	fps  *fpSet
 }
-
-// visitedKeyOverhead approximates the exact map's per-entry bookkeeping
-// beyond the key bytes themselves (string header plus bucket slot), for
-// the visited_bytes gauge.
-const visitedKeyOverhead = 48
 
 func newVisited(exact bool) *visited {
 	if exact {
-		return &visited{keys: map[sem.Key]bool{}}
+		return &visited{keys: &keySet{}}
 	}
 	return &visited{fps: &fpSet{}}
 }
 
-// addKey / addFP insert a state identity and report whether it was new.
-func (v *visited) addKey(k sem.Key) bool {
-	if v.keys[k] {
-		return false
+// claim records id as a claim on the state identified by k (exact mode)
+// or fp (fingerprint mode), and reports whether id is now its smallest
+// claim.
+func (v *visited) claim(k sem.Key, fp sem.Fingerprint, id uint64) bool {
+	if v.keys != nil {
+		return v.keys.claim(k, id)
 	}
-	v.keys[k] = true
-	v.keyBytes += int64(len(k)) + visitedKeyOverhead
-	return true
+	return v.fps.claim(fp, id)
 }
 
-func (v *visited) addFP(fp sem.Fingerprint) bool { return v.fps.add(fp) }
+// owner returns the smallest claim on a claimed state.
+func (v *visited) owner(k sem.Key, fp sem.Fingerprint) uint64 {
+	if v.keys != nil {
+		return v.keys.owner(k)
+	}
+	return v.fps.owner(fp)
+}
 
 // bytes is the memory the visited set retains.
 func (v *visited) bytes() int64 {
 	if v.keys != nil {
-		return v.keyBytes
+		return v.keys.bytes()
 	}
 	return v.fps.bytes()
 }
@@ -292,33 +298,32 @@ func recordVisitedStats(m *metrics.Registry, vis *visited) func() {
 	}
 }
 
-// fire executes one (possibly coarsened) transition of process pi and
-// reports how many extra micro-steps the run absorbed. The count is
+// fire executes one (possibly coarsened) transition of process pi into
+// the scratch and reports how many extra micro-steps the run absorbed.
+// The result's Config is the scratch's (see sem.Scratch); the count is
 // returned rather than recorded so the serial merge can credit it in
 // deterministic order.
-func fire(c *sem.Config, pi int, opts Options, absorbLateCritical bool) (*sem.StepResult, int) {
-	// Nothing downstream reads the per-access event stream unless a sink
-	// or event collection asked for it, so skip materializing it (the
-	// per-step Event/AllocEvent allocations) on the common path.
-	quiet := opts.Sink == nil && !opts.CollectEvents
+func fire(c *sem.Config, pi int, opts Options, absorbLateCritical bool, sc *sem.Scratch) (sem.StepResult, int) {
+	quiet := !withEvents(opts)
+	if !opts.Coarsen {
+		return *sc.Step(c, pi, quiet), 0
+	}
 	budget := 0
 	if absorbLateCritical && !c.AccessCritical(c.NextAccess(pi)) {
 		budget = 1
 	}
 	absorbed := 0
-	step := stepOnce(c, pi, quiet)
-	if !opts.Coarsen {
-		return step, absorbed
-	}
+	step := *sc.Step(c, pi, quiet)
 	// Virtual coarsening: keep extending the run while the same process
 	// is enabled, absorbing any number of non-critical actions and at
 	// most one critical reference in total (Observation 5). Non-critical
 	// actions are invisible to other threads (both-movers); the single
-	// critical action is the block's linearization point.
+	// critical action is the block's linearization point. Each micro-step
+	// continues in place in the scratch.
 	const maxRun = 1024
 	path := step.Proc
+	nc := step.Config
 	for n := 0; n < maxRun; n++ {
-		nc := step.Config
 		if nc.Err != "" {
 			return step, absorbed
 		}
@@ -349,28 +354,23 @@ func fire(c *sem.Config, pi int, opts Options, absorbLateCritical bool) (*sem.St
 			}
 			budget--
 		}
-		next := stepOnce(nc, pj, quiet)
+		next := sc.Step(nc, pj, quiet)
 		absorbed++
-		step = &sem.StepResult{
-			Config: next.Config,
-			Events: append(step.Events, next.Events...),
-			Allocs: append(step.Allocs, next.Allocs...),
-			Stmt:   step.Stmt,
-			Proc:   path,
-		}
+		step.Events = append(step.Events, next.Events...)
+		step.Allocs = append(step.Allocs, next.Allocs...)
 	}
 	return step, absorbed
 }
 
-func stepOnce(c *sem.Config, pi int, quiet bool) *sem.StepResult {
-	if quiet {
-		return c.StepQuiet(pi)
-	}
-	return c.Step(pi)
-}
+// withEvents reports whether anything reads the per-access event stream:
+// a sink or event collection. Otherwise the explorer steps quietly and
+// skips materializing it (the per-step Event/AllocEvent allocations).
+func withEvents(opts Options) bool { return opts.Sink != nil || opts.CollectEvents }
 
-// reportCoEnabled reports conflicting co-enabled action pairs to the sink.
-func reportCoEnabled(c *sem.Config, enabled []int, sink Sink) {
+// coEnabledConflicts finds the conflicting co-enabled action pairs of c,
+// in the order the sink receives them.
+func coEnabledConflicts(c *sem.Config, enabled []int) []conflict {
+	var out []conflict
 	accs := make([]sem.AccessSet, len(enabled))
 	for k, pi := range enabled {
 		accs[k] = c.NextAccess(pi)
@@ -381,9 +381,10 @@ func reportCoEnabled(c *sem.Config, enabled []int, sink Sink) {
 			if !ok {
 				continue
 			}
-			sink.CoEnabled(c, c.NextActionID(enabled[a]), c.NextActionID(enabled[b]), loc, ww)
+			out = append(out, conflict{c.NextActionID(enabled[a]), c.NextActionID(enabled[b]), loc, ww})
 		}
 	}
+	return out
 }
 
 // accessConflict finds a conflicting location between two access sets:

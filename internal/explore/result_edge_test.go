@@ -60,9 +60,9 @@ func TestOutcomeSetUnknownLabels(t *testing.T) {
 // A MaxConfigs-truncated run must flag itself, and its partial terminal
 // artifacts must stay coherent: a subset of the full run's sets, never
 // phantom outcomes the full space does not contain. The same coherence
-// must hold for the parallel explorer — its own chain runs ahead of the
-// merge and inserts identities past the cut, so this pins that the
-// over-insertion never surfaces as Result artifacts.
+// must hold for the parallel explorer — its expansions run ahead of the
+// merge and claim identities past the cut, so this pins that those
+// claims never surface as Result artifacts.
 func TestTruncatedRunArtifacts(t *testing.T) {
 	prog := workloads.Philosophers(3)
 	full := Explore(prog, Options{Reduction: Full})

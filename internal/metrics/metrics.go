@@ -112,6 +112,14 @@ const (
 	SummaryHit
 	SummaryMiss
 	SummaryInvalidated
+	// StatesBuilt counts the successors the explorer copied out of its
+	// scratch storage: those whose state no earlier transition had
+	// claimed at expansion. Run inline it equals StatesUnique minus the
+	// initial configuration (plus, on a truncated run, successors the
+	// last expansion built past the cut); with workers, claims arrive out
+	// of order and some built successors turn out duplicates, so it is
+	// perf-only.
+	StatesBuilt
 	numCounters
 )
 
@@ -143,6 +151,7 @@ var counterNames = [numCounters]string{
 	SummaryHit:           "summary_hit",
 	SummaryMiss:          "summary_miss",
 	SummaryInvalidated:   "summary_invalidated",
+	StatesBuilt:          "states_built",
 }
 
 // PerfOnly reports whether the counter measures implementation effort
@@ -154,7 +163,7 @@ func (c Counter) PerfOnly() bool {
 	case EncPoolHit, EncPoolMiss, FrontierSteals, AbsSteals, AbsStaleRecomputes,
 		PipelineFusedSinks, AnalysisCacheHit, AnalysisCacheMiss,
 		DepMergeWaits, AbsDepMergeWaits,
-		SummaryHit, SummaryMiss, SummaryInvalidated:
+		SummaryHit, SummaryMiss, SummaryInvalidated, StatesBuilt:
 		return true
 	}
 	return false

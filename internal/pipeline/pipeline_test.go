@@ -27,7 +27,12 @@ func (r *recSink) Transition(res *sem.StepResult) {
 	if res.Stmt != nil {
 		stmt = lang.DescribeStmt(res.Stmt)
 	}
-	r.log = append(r.log, fmt.Sprintf("T proc=%s stmt=%s err=%q", res.Proc, stmt, res.Config.Err))
+	// A transition into an already-discovered state carries no Config.
+	to := "dup"
+	if res.Config != nil {
+		to = fmt.Sprintf("err=%q", res.Config.Err)
+	}
+	r.log = append(r.log, fmt.Sprintf("T proc=%s stmt=%s %s", res.Proc, stmt, to))
 	for _, ev := range res.Events {
 		r.log = append(r.log, fmt.Sprintf("  E proc=%s stmt=%d kind=%v loc=%v site=%d pstr=%s birth=%s",
 			ev.ProcPath, ev.Stmt, ev.Kind, ev.Loc, ev.Site, ev.PStr.String(), ev.Birth.String()))

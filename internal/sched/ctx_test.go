@@ -87,7 +87,6 @@ func TestRunContextPreCancelled(t *testing.T) {
 		merges := 0
 		ok := d.RunContext(ctx, []int{1, 2, 3, 4},
 			func(i int, p *int, s *int) { *s = *p },
-			noOwn,
 			func(i int, p *int, s *int, emit func(int)) bool { merges++; return true })
 		pool.Close()
 		if ok {
@@ -112,7 +111,6 @@ func TestRunContextCancelMidMerge(t *testing.T) {
 		merges := 0
 		ok := d.RunContext(ctx, seeds,
 			func(i int, p *int, s *int) { *s = i },
-			noOwn,
 			func(i int, p *int, s *int, emit func(int)) bool {
 				merges++
 				if merges == 10 {
@@ -150,7 +148,6 @@ func TestRunContextCancelWakesBlockedMerger(t *testing.T) {
 		go func() {
 			res <- d.RunContext(ctx, make([]int, 8),
 				func(i int, p *int, s *int) { started.Add(1); <-gate },
-				noOwn,
 				func(i int, p *int, s *int, emit func(int)) bool { merges++; return true })
 		}()
 		// Wait until at least one expansion is in flight (merger or
@@ -216,7 +213,6 @@ func TestPoolCloseRacingDepRun(t *testing.T) {
 			sum := 0
 			d.Run(seeds,
 				func(i int, p *int, s *int) { *s = *p * 2 },
-				noOwn,
 				func(i int, p *int, s *int, emit func(int)) bool { sum += *s; return true })
 			done <- sum
 		}()
@@ -253,7 +249,6 @@ func TestRunAfterCloseInline(t *testing.T) {
 	sum = 0
 	ok := d.Run([]int{0, 1, 2, 3},
 		func(i int, p *int, s *int) { *s = *p + 1 },
-		noOwn,
 		func(i int, p *int, s *int, emit func(int)) bool { sum += *s; return true })
 	if !ok || sum != 10 {
 		t.Fatalf("DepRounds.Run on a closed pool: ok=%v sum=%d, want true/10", ok, sum)

@@ -60,20 +60,19 @@ type DepHooks struct {
 	// goroutines; implementations must be safe for concurrent use.
 	Ready func(n int)
 	// MergeWait is called each time the merger must block because the
-	// head task's expansion (or its serial pre-merge stage) has not
-	// finished — the pipeline's analogue of a level barrier stall.
+	// head task's expansion has not finished — the pipeline's analogue
+	// of a level barrier stall.
 	MergeWait func()
 }
 
-// depState is a task's position in the expand → own → merge pipeline,
-// guarded by the run mutex.
+// depState is a task's position in the expand → merge pipeline, guarded
+// by the run mutex.
 type depState uint8
 
 const (
 	depPublished depState = iota // visible, unclaimed
 	depClaimed                   // an expander owns it
 	depExpanded                  // slot filled
-	depOwned                     // serial pre-merge stage done
 )
 
 // depSegBits fixes the segment size of the task store: segments are
@@ -100,9 +99,7 @@ type depTask[P, T any] struct {
 //
 //   - expansion of task i depends on nothing (any worker, any order,
 //     as soon as the task is published);
-//   - the serial own stage of task i depends on expansion of i and own
-//     of i-1;
-//   - merge of task i depends on own of i and merge of i-1.
+//   - merge of task i depends on expansion of i and merge of i-1.
 //
 // There is no level barrier: the caller's goroutine merges task i the
 // moment its predecessors in that order are done, while workers are
@@ -111,9 +108,11 @@ type depTask[P, T any] struct {
 // visit order, so an engine whose merge callback replays its sequential
 // bookkeeping is bit-identical to its sequential form — the same
 // determinism contract as Rounds (workers write only their own task's
-// slot; own and merge are the only code touching shared engine state,
-// own from one goroutine at a time in task order, merge always from the
-// caller's goroutine).
+// slot; merge is the only code touching shared engine state, always
+// from the caller's goroutine). An engine whose expansions must agree on
+// shared state (the explorer's claim table) makes that state
+// order-independent itself: by the time task i merges, every task
+// before it has expanded.
 //
 // The merger never depends on the pool: when the head task is still
 // unclaimed it expands it inline, so a Run completes even if every pool
@@ -147,10 +146,8 @@ type depRun[P, T any] struct {
 	moreWork sync.Cond // workers wait for published tasks or shutdown
 	headRdy  sync.Cond // merger waits for the head task to progress
 	segs     []*[depSegSize]depTask[P, T]
-	total    int // published tasks
-	next     int // lowest unclaimed index; [0,next) are claimed
-	ownCur   int // next index the own chain will run
-	ownBusy  bool
+	total    int  // published tasks
+	next     int  // lowest unclaimed index; [0,next) are claimed
 	finished bool // merger done (normal completion or early stop)
 	waitFor  int  // index the merger is blocked on; -1 when it is not
 	nw       int
@@ -172,43 +169,10 @@ func (r *depRun[P, T]) publishLocked(p P) {
 	r.moreWork.Signal()
 }
 
-// advanceOwn drains the serial pre-merge chain: while consecutive tasks
-// from ownCur on are expanded, run own on them in task order. Only one
-// goroutine runs the chain at a time (ownBusy); stopAt < 0 drains
-// everything available, otherwise the caller stops once task stopAt is
-// owned (the merger's bound, so it returns to merging promptly).
-func (r *depRun[P, T]) advanceOwn(own func(i int, p *P, slot *T), stopAt int) {
-	r.mu.Lock()
-	for !r.ownBusy && !r.finished {
-		i := r.ownCur
-		if i >= r.total {
-			break
-		}
-		t := r.task(i)
-		if t.st < depExpanded {
-			break
-		}
-		r.ownBusy = true
-		r.mu.Unlock()
-		own(i, &t.p, &t.slot)
-		r.mu.Lock()
-		t.st = depOwned
-		r.ownCur++
-		r.ownBusy = false
-		if r.waitFor >= 0 {
-			r.headRdy.Signal()
-		}
-		if stopAt >= 0 && i >= stopAt {
-			break
-		}
-	}
-	r.mu.Unlock()
-}
-
 // workerLoop is one pool worker's life for the whole run: claim a batch
 // of published tasks off the front of the order (FIFO, so the merger's
-// head is expanded early), expand them, then help the own chain along.
-func (r *depRun[P, T]) workerLoop(expand func(i int, p *P, slot *T), own func(i int, p *P, slot *T)) {
+// head is expanded early) and expand them.
+func (r *depRun[P, T]) workerLoop(expand func(i int, p *P, slot *T)) {
 	batch := make([]*depTask[P, T], 0, MaxGrain)
 	for {
 		r.mu.Lock()
@@ -248,18 +212,13 @@ func (r *depRun[P, T]) workerLoop(expand func(i int, p *P, slot *T), own func(i 
 				return
 			}
 		}
-		r.advanceOwn(own, -1)
 	}
 }
 
 // Run executes the task graph seeded with the given payloads. expand
-// fills task i's slot from its payload (parallel, unordered); own is a
-// serial stage running exactly once per task in strict task order after
-// its expansion and before its merge (engines put order-sensitive shared
-// state that the merge only reads — e.g. dedup verdicts — here, so it
-// pipelines off the merge goroutine); merge consumes tasks in strict
-// task order on the caller's goroutine and may publish new tasks through
-// emit (valid only during the merge callback).
+// fills task i's slot from its payload (parallel, unordered); merge
+// consumes tasks in strict task order on the caller's goroutine and may
+// publish new tasks through emit (valid only during the merge callback).
 // A merge returning false stops the run immediately — the engines'
 // truncation cut: remaining tasks are dropped, in-flight expansions are
 // drained, and Run returns false after every worker has quiesced, so no
@@ -268,10 +227,9 @@ func (r *depRun[P, T]) workerLoop(expand func(i int, p *P, slot *T), own func(i 
 func (d *DepRounds[P, T]) Run(
 	seeds []P,
 	expand func(i int, p *P, slot *T),
-	own func(i int, p *P, slot *T),
 	merge func(i int, p *P, slot *T, emit func(P)) bool,
 ) bool {
-	return d.RunContext(context.Background(), seeds, expand, own, merge)
+	return d.RunContext(context.Background(), seeds, expand, merge)
 }
 
 // RunContext is Run with cooperative cancellation. Once ctx is
@@ -286,7 +244,6 @@ func (d *DepRounds[P, T]) RunContext(
 	ctx context.Context,
 	seeds []P,
 	expand func(i int, p *P, slot *T),
-	own func(i int, p *P, slot *T),
 	merge func(i int, p *P, slot *T, emit func(P)) bool,
 ) bool {
 	done := ctx.Done()
@@ -303,7 +260,7 @@ func (d *DepRounds[P, T]) RunContext(
 	if d.pool != nil {
 		workersDone = make(chan struct{})
 		go func() {
-			d.pool.Run(r.nw, func(int) { r.workerLoop(expand, own) })
+			d.pool.Run(r.nw, func(int) { r.workerLoop(expand) })
 			close(workersDone)
 		}()
 	}
@@ -366,7 +323,7 @@ func (d *DepRounds[P, T]) RunContext(
 				break
 			}
 			t := r.task(head)
-			if t.st == depOwned {
+			if t.st == depExpanded {
 				break
 			}
 			if t.st == depPublished {
@@ -381,15 +338,8 @@ func (d *DepRounds[P, T]) RunContext(
 				t.st = depExpanded
 				continue
 			}
-			if t.st == depExpanded && !r.ownBusy {
-				r.mu.Unlock()
-				r.advanceOwn(own, head)
-				r.mu.Lock()
-				continue
-			}
-			// A worker holds the head (claimed) or the own chain (ownBusy);
-			// it will signal when the head progresses, and the ctx watcher
-			// broadcasts on cancellation.
+			// A worker holds the head; it will signal when the expansion
+			// finishes, and the ctx watcher broadcasts on cancellation.
 			r.waitFor = head
 			if h := d.hooks.MergeWait; h != nil {
 				h()
@@ -409,7 +359,7 @@ func (d *DepRounds[P, T]) RunContext(
 			break
 		}
 		// The merged task is dead: no other goroutine will ever touch an
-		// index below next/ownCur again, so release its payload and slot
+		// index below next again, so release its payload and slot
 		// (frontier configurations would otherwise be pinned for the whole
 		// run), and once head leaves a segment drop the segment itself, so
 		// a run retains only the segments spanning [head, total).

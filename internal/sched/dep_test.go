@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -41,10 +40,6 @@ func depSimSequential(seeds []uint64, budget int) (payloads, slots []uint64) {
 	return
 }
 
-// noOwn is the own stage of runs whose merge needs no serial pre-merge
-// work.
-func noOwn[P, T any](int, *P, *T) {}
-
 func TestDepRoundsMatchesSequentialReplay(t *testing.T) {
 	seeds := []uint64{3, 10, 40}
 	const budget = 3000
@@ -55,7 +50,6 @@ func TestDepRoundsMatchesSequentialReplay(t *testing.T) {
 		var gotP, gotS []uint64
 		ok := dep.Run(seeds,
 			func(i int, p *uint64, slot *uint64) { *slot = depSimExpand(*p) },
-			noOwn,
 			func(i int, p *uint64, slot *uint64, emit func(uint64)) bool {
 				if i != len(gotP) {
 					t.Fatalf("workers=%d: merge index %d out of order (merged %d)", workers, i, len(gotP))
@@ -86,57 +80,6 @@ func TestDepRoundsMatchesSequentialReplay(t *testing.T) {
 	}
 }
 
-// The own stage must run exactly once per task, in strict task order,
-// after the task's expansion and before its merge — even with skewed
-// expansion latencies racing the chain.
-func TestDepRoundsOwnChainOrdered(t *testing.T) {
-	for _, workers := range []int{0, 1, 4} {
-		pool := ForWorkers(workers)
-		dep := NewDepRounds[int, int](pool, DepHooks{})
-		rng := rand.New(rand.NewSource(1))
-		delays := make([]time.Duration, 500)
-		for i := range delays {
-			delays[i] = time.Duration(rng.Intn(50)) * time.Microsecond
-		}
-		var ownSeen int32
-		merged := 0
-		seeds := []int{0}
-		ok := dep.Run(seeds,
-			func(i int, p *int, slot *int) {
-				if i < len(delays) {
-					time.Sleep(delays[i])
-				}
-				*slot = *p * 10
-			},
-			func(i int, p *int, slot *int) {
-				if got := atomic.AddInt32(&ownSeen, 1); int(got) != i+1 {
-					t.Errorf("workers=%d: own ran task %d as call %d", workers, i, got)
-				}
-				if *slot != *p*10 {
-					t.Errorf("workers=%d: own saw unexpanded slot for task %d", workers, i)
-				}
-				*slot++ // merge must observe the own stage's write
-			},
-			func(i int, p *int, slot *int, emit func(int)) bool {
-				if int(atomic.LoadInt32(&ownSeen)) < i+1 {
-					t.Errorf("workers=%d: merge of %d before its own stage", workers, i)
-				}
-				if *slot != *p*10+1 {
-					t.Errorf("workers=%d: merge of %d missed own effect: slot %d", workers, i, *slot)
-				}
-				merged++
-				if merged < 500 {
-					emit(merged)
-				}
-				return true
-			})
-		pool.Close()
-		if !ok || merged != 500 {
-			t.Fatalf("workers=%d: ok=%v merged=%d", workers, ok, merged)
-		}
-	}
-}
-
 // Early stop mid-chain: in-flight expansions must drain before Run
 // returns (no callback may touch engine state afterwards) and no pool
 // goroutine may leak after Close.
@@ -158,7 +101,6 @@ func TestDepRoundsEarlyStopDrains(t *testing.T) {
 			inflight.Add(-1)
 			postReturn.Add(1)
 		},
-		noOwn,
 		func(i int, p *int, slot *int, emit func(int)) bool {
 			merges++
 			return merges < 10
@@ -189,7 +131,6 @@ func TestDepRoundsSharedPoolConcurrentRuns(t *testing.T) {
 		merged := 0
 		dep.Run([]int{1},
 			func(i int, p *int, slot *int) { *slot = *p },
-			noOwn,
 			func(i int, p *int, slot *int, emit func(int)) bool {
 				merged++
 				if merged < 2000 {
@@ -229,7 +170,6 @@ func TestDepRoundsReleasesMergedSegments(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		ok := dep.Run([]int{0},
 			func(i int, p *int, s *slot) { s[0] = int64(*p) },
-			noOwn,
 			func(i int, p *int, s *slot, emit func(int)) bool {
 				if i+1 < tasks {
 					emit(i + 1)
@@ -257,7 +197,6 @@ func TestDepRoundsEmptySeeds(t *testing.T) {
 	called := false
 	ok := dep.Run(nil,
 		func(i int, p *int, slot *int) { called = true },
-		noOwn,
 		func(i int, p *int, slot *int, emit func(int)) bool { called = true; return true })
 	if !ok || called {
 		t.Fatalf("empty run: ok=%v called=%v", ok, called)
@@ -288,7 +227,6 @@ func TestDepRoundsHooks(t *testing.T) {
 			time.Sleep(50 * time.Microsecond) // give pool workers a window to claim batches
 			*slot = i
 		},
-		noOwn,
 		func(i int, p *int, slot *int, emit func(int)) bool { return true })
 	if readyCalls.Load() == 0 || readyMax.Load() <= 0 {
 		t.Errorf("Ready hook not fed: calls=%d max=%d", readyCalls.Load(), readyMax.Load())

@@ -242,7 +242,7 @@ func (c *Config) Enabled() []int {
 	if c.Err != "" {
 		return nil
 	}
-	var out []int
+	out := make([]int, 0, len(c.Procs))
 	for i, p := range c.Procs {
 		if p.Status == StatusRunning && (c.hasPending(p) || c.nextStmt(p) != nil) {
 			out = append(out, i)
@@ -342,7 +342,7 @@ func (c *Config) AccessCritical(a AccessSet) bool {
 }
 
 // clone makes a shallow copy of the configuration with its own process
-// slice; processes themselves are shared until cloneProc.
+// slice; processes themselves are shared until a step copies them.
 func (c *Config) clone() *Config {
 	procs := make([]*Process, len(c.Procs))
 	copy(procs, c.Procs)
@@ -358,62 +358,6 @@ func (c *Config) clone() *Config {
 	}
 }
 
-// cloneProc replaces the process at index i with a deep copy (frames and
-// locals) and returns it.
-func (c *Config) cloneProc(i int) *Process {
-	old := c.Procs[i]
-	np := &Process{
-		Path:      old.Path,
-		Status:    old.Status,
-		Parent:    old.Parent,
-		LiveKids:  old.LiveKids,
-		PStr:      old.PStr,
-		ArmOfStmt: old.ArmOfStmt,
-	}
-	np.Frames = make([]*Frame, len(old.Frames))
-	for j, f := range old.Frames {
-		nf := &Frame{Fn: f.Fn, Dest: f.Dest, hasEntry: f.hasEntry}
-		if f.pending != nil {
-			pcopy := *f.pending
-			nf.pending = &pcopy
-		}
-		nf.Locals = make([]Value, len(f.Locals))
-		copy(nf.Locals, f.Locals)
-		nf.Blocks = make([]blockPos, len(f.Blocks))
-		copy(nf.Blocks, f.Blocks)
-		np.Frames[j] = nf
-	}
-	c.Procs[i] = np
-	return np
-}
-
-// mutGlobals returns a writable copy of the globals slice.
-func (c *Config) mutGlobals() []Value {
-	g := make([]Value, len(c.Globals))
-	copy(g, c.Globals)
-	c.Globals = g
-	return g
-}
-
-// mutHeapObj returns a writable copy of heap object id, cloning the heap
-// map first.
-func (c *Config) mutHeapObj(id int) *HeapObj {
-	h := make(map[int]*HeapObj, len(c.Heap))
-	for k, v := range c.Heap {
-		h[k] = v
-	}
-	obj := h[id]
-	if obj == nil {
-		return nil
-	}
-	no := &HeapObj{Site: obj.Site, Birth: obj.Birth, Proc: obj.Proc}
-	no.Cells = make([]Value, len(obj.Cells))
-	copy(no.Cells, obj.Cells)
-	h[id] = no
-	c.Heap = h
-	return no
-}
-
 // insertProcSorted inserts p keeping Procs sorted by Path.
 func (c *Config) insertProcSorted(p *Process) {
 	i := sort.Search(len(c.Procs), func(i int) bool { return c.Procs[i].Path >= p.Path })
@@ -422,9 +366,13 @@ func (c *Config) insertProcSorted(p *Process) {
 	c.Procs[i] = p
 }
 
-// removeProc removes the process at index i.
+// removeProc removes the process at index i, in place: a stepped
+// configuration's Procs slice is never shared.
 func (c *Config) removeProc(i int) {
-	c.Procs = append(c.Procs[:i:i], c.Procs[i+1:]...)
+	n := len(c.Procs) - 1
+	copy(c.Procs[i:], c.Procs[i+1:])
+	c.Procs[n] = nil
+	c.Procs = c.Procs[:n]
 }
 
 // ResultGlobals returns a copy of the global store; for terminal

@@ -182,18 +182,10 @@ func BinopVal(op lang.TokKind, x, y Value) (Value, error) {
 func (st *stepper) malloc(s lang.Stmt, e *lang.MallocExpr, count int) (Value, error) {
 	id := st.cfg.nextAlloc
 	st.cfg.nextAlloc++
-	obj := &HeapObj{
-		Cells: make([]Value, count),
-		Site:  e.NodeID(),
-		Birth: st.proc.PStr,
-		Proc:  st.proc.Path,
-	}
-	h := make(map[int]*HeapObj, len(st.cfg.Heap)+1)
-	for k, o := range st.cfg.Heap {
-		h[k] = o
-	}
-	h[id] = obj
-	st.cfg.Heap = h
+	obj := st.sc.heapObj(count)
+	obj.Site, obj.Birth, obj.Proc = e.NodeID(), st.proc.PStr, st.proc.Path
+	st.mutHeap()[id] = obj
+	st.ownObjs = append(st.ownObjs, obj)
 	if !st.quiet {
 		st.res.Allocs = append(st.res.Allocs, AllocEvent{
 			ID: id, Count: count, Site: e.NodeID(), Birth: st.proc.PStr, Proc: st.proc.Path,
@@ -219,7 +211,7 @@ func (st *stepper) writeLoc(s lang.Stmt, l Loc, v Value) error {
 		if l.Base < 0 || l.Base >= len(st.cfg.Globals) || l.Off != 0 {
 			return st.rerr(s, "store to bad global address %s", l)
 		}
-		st.cfg.mutGlobals()[l.Base] = v
+		st.mutGlobals()[l.Base] = v
 	case SpaceHeap:
 		obj := st.cfg.Heap[l.Base]
 		if obj == nil {
@@ -228,7 +220,7 @@ func (st *stepper) writeLoc(s lang.Stmt, l Loc, v Value) error {
 		if l.Off < 0 || l.Off >= len(obj.Cells) {
 			return st.rerr(s, "heap store out of bounds: %s (size %d)", l, len(obj.Cells))
 		}
-		st.cfg.mutHeapObj(l.Base).Cells[l.Off] = v
+		st.mutHeapObj(l.Base).Cells[l.Off] = v
 	}
 	st.event(s.NodeID(), Write, l)
 	return nil

@@ -57,17 +57,26 @@ func (c *Config) Step(procIdx int) *StepResult { return c.step(procIdx, false) }
 func (c *Config) StepQuiet(procIdx int) *StepResult { return c.step(procIdx, true) }
 
 func (c *Config) step(procIdx int, quiet bool) *StepResult {
-	pr := c.Procs[procIdx]
-	pending := pr.Status == StatusRunning && c.hasPending(pr)
-	stmt := c.NextStmt(procIdx)
+	st := stepper{cfg: c.clone(), quiet: quiet}
+	st.res = &StepResult{Config: st.cfg}
+	st.run(procIdx)
+	return st.res
+}
+
+// run executes one transition of the process at procIdx, writing st.cfg
+// in place: every copy-on-write point below copies a shared part into
+// storage from st.sc (the heap when nil) before the first write to it.
+func (st *stepper) run(procIdx int) {
+	c2 := st.cfg
+	pr := c2.Procs[procIdx]
+	pending := pr.Status == StatusRunning && c2.hasPending(pr)
+	stmt := c2.NextStmt(procIdx)
 	if stmt == nil && !pending {
-		panic(fmt.Sprintf("sem: Step on disabled process %s", c.Procs[procIdx].Path))
+		panic(fmt.Sprintf("sem: Step on disabled process %s", pr.Path))
 	}
-	c2 := c.clone()
-	st := &stepper{cfg: c2, cloned: map[string]bool{}, quiet: quiet}
 	p := st.mutProcAt(procIdx)
-	res := &StepResult{Config: c2, Stmt: stmt, Proc: p.Path}
-	st.res = res
+	res := st.res
+	res.Stmt, res.Proc = stmt, p.Path
 	st.proc = p
 
 	var err error
@@ -86,10 +95,9 @@ func (c *Config) step(procIdx int, quiet bool) *StepResult {
 			errNode = re.Stmt
 		}
 		c2.ErrStmt = errNode
-		return res
+		return
 	}
 	st.settle(p)
-	return res
 }
 
 // commitPending performs the write phase of a split transition.
@@ -121,12 +129,22 @@ func (st *stepper) splitWrite(dest retDest) bool {
 	return st.sharedRead
 }
 
-// stepper carries the mutable state of one transition.
+// stepper carries the mutable state of one transition — or, under a
+// Scratch, of a coarsened run of transitions stepped in place.
 type stepper struct {
-	cfg    *Config
-	proc   *Process
-	res    *StepResult
-	cloned map[string]bool
+	cfg  *Config
+	proc *Process
+	res  *StepResult
+	// sc is the storage the copy-on-write points take from; nil is the
+	// heap.
+	sc *Scratch
+	// What st.cfg no longer shares with the parent configuration, so
+	// later writes go in place: the processes already copied (or
+	// forked), the globals slice, the heap map, and the heap objects.
+	owned      []*Process
+	ownGlobals bool
+	ownHeap    bool
+	ownObjs    []*HeapObj
 	// quiet suppresses Event/AllocEvent materialization (StepQuiet);
 	// sharedRead remembers that the step performed a critical shared
 	// read, the one fact splitWrite needs from the event stream.
@@ -134,17 +152,47 @@ type stepper struct {
 	sharedRead bool
 }
 
-// mutProcAt clones the process at index i (once per step) and returns it.
-func (st *stepper) mutProcAt(i int) *Process {
-	p := st.cfg.Procs[i]
-	if st.cloned[p.Path] {
-		return p
-	}
-	st.cloned[p.Path] = true
-	return st.cfg.cloneProc(i)
+// reset forgets what the stepper owns, keeping its slices' storage.
+func (st *stepper) reset() {
+	clear(st.owned)
+	clear(st.ownObjs)
+	st.owned, st.ownObjs = st.owned[:0], st.ownObjs[:0]
+	st.ownGlobals, st.ownHeap = false, false
+	st.cfg, st.proc, st.res = nil, nil, nil
 }
 
-// mutProc clones the process with the given path.
+func (st *stepper) owns(p *Process) bool {
+	for _, q := range st.owned {
+		if q == p {
+			return true
+		}
+	}
+	return false
+}
+
+func (st *stepper) ownsObj(obj *HeapObj) bool {
+	for _, o := range st.ownObjs {
+		if o == obj {
+			return true
+		}
+	}
+	return false
+}
+
+// mutProcAt returns the process at index i, copying it first unless the
+// stepper already owns it.
+func (st *stepper) mutProcAt(i int) *Process {
+	p := st.cfg.Procs[i]
+	if st.owns(p) {
+		return p
+	}
+	np := st.sc.copyProc(p)
+	st.cfg.Procs[i] = np
+	st.owned = append(st.owned, np)
+	return np
+}
+
+// mutProc is mutProcAt by path.
 func (st *stepper) mutProc(path string) *Process {
 	for i, p := range st.cfg.Procs {
 		if p.Path == path {
@@ -152,6 +200,49 @@ func (st *stepper) mutProc(path string) *Process {
 		}
 	}
 	panic("sem: unknown process " + path)
+}
+
+// mutGlobals returns the globals slice, copied first unless owned.
+func (st *stepper) mutGlobals() []Value {
+	if !st.ownGlobals {
+		g := st.sc.values(len(st.cfg.Globals))
+		copy(g, st.cfg.Globals)
+		st.cfg.Globals = g
+		st.ownGlobals = true
+	}
+	return st.cfg.Globals
+}
+
+// mutHeap returns the heap map, copied first unless owned; its objects
+// stay shared until mutHeapObj.
+func (st *stepper) mutHeap() map[int]*HeapObj {
+	if !st.ownHeap {
+		h := st.sc.heapMap(len(st.cfg.Heap) + 1)
+		for id, obj := range st.cfg.Heap {
+			h[id] = obj
+		}
+		st.cfg.Heap = h
+		st.ownHeap = true
+	}
+	return st.cfg.Heap
+}
+
+// mutHeapObj returns heap object id, copied first unless owned; the
+// caller has checked that it exists.
+func (st *stepper) mutHeapObj(id int) *HeapObj {
+	h := st.mutHeap()
+	obj := h[id]
+	if st.ownsObj(obj) {
+		return obj
+	}
+	no := st.sc.heapObj(len(obj.Cells))
+	cells := no.Cells
+	*no = *obj
+	no.Cells = cells
+	copy(cells, obj.Cells)
+	h[id] = no
+	st.ownObjs = append(st.ownObjs, no)
+	return no
 }
 
 func (st *stepper) frame() *Frame { return st.proc.Frames[len(st.proc.Frames)-1] }
@@ -224,7 +315,7 @@ func (st *stepper) exec(s lang.Stmt) error {
 			return err
 		}
 		if st.splitWrite(dest) {
-			st.frame().pending = &pendingOp{dest: dest, val: v, stmt: s.NodeID(), bump: true}
+			st.frame().pending = st.sc.pending(pendingOp{dest: dest, val: v, stmt: s.NodeID(), bump: true})
 			return nil
 		}
 		if err := st.storeDest(s, dest, v); err != nil {
@@ -327,13 +418,7 @@ func (st *stepper) exec(s lang.Stmt) error {
 		for off := range obj.Cells {
 			st.event(s.NodeID(), Write, Loc{Space: SpaceHeap, Base: v.Ptr.Base, Off: off})
 		}
-		h := make(map[int]*HeapObj, len(st.cfg.Heap))
-		for k, o := range st.cfg.Heap {
-			if k != v.Ptr.Base {
-				h[k] = o
-			}
-		}
-		st.cfg.Heap = h
+		delete(st.mutHeap(), v.Ptr.Base)
 		st.bump()
 		return nil
 	}
@@ -390,21 +475,25 @@ func (st *stepper) call(s lang.Stmt, c *lang.CallExpr, dest retDest) error {
 	if len(c.Args) != len(fn.Params) {
 		return st.rerr(s, "call of %s with %d args, want %d", fn.Name, len(c.Args), len(fn.Params))
 	}
-	args := make([]Value, len(c.Args))
+	// Arguments are evaluated straight into the callee's locals: the
+	// parameters are its first slots, and on an error the frame is
+	// dropped with the rest of the successor.
+	info := st.cfg.Prog.ResolvedInfo().Funcs[fn]
+	locals := st.sc.values(info.FrameSize)
 	for i, a := range c.Args {
-		if args[i], err = st.eval(s, a); err != nil {
+		if locals[i], err = st.eval(s, a); err != nil {
 			return err
 		}
 	}
-	info := st.cfg.Prog.ResolvedInfo().Funcs[fn]
-	nf := &Frame{
+	nf := st.sc.frame()
+	*nf = Frame{
 		Fn:       fn,
-		Locals:   make([]Value, info.FrameSize),
-		Blocks:   []blockPos{{block: fn.Body, idx: 0}},
+		Locals:   locals,
+		Blocks:   st.sc.blockStack(1),
 		Dest:     dest,
 		hasEntry: true,
 	}
-	copy(nf.Locals, args)
+	nf.Blocks[0] = blockPos{block: fn.Body, idx: 0}
 	st.proc.Frames = append(st.proc.Frames, nf)
 	st.cfg.nextInst++
 	st.proc.PStr = pstring.Push(st.proc.PStr, pstring.Sym{
@@ -431,7 +520,7 @@ func (st *stepper) ret(s lang.Stmt, v Value, hasValue bool) error {
 		return nil
 	}
 	if split {
-		st.frame().pending = &pendingOp{dest: f.Dest, val: v, stmt: s.NodeID(), bump: false}
+		st.frame().pending = st.sc.pending(pendingOp{dest: f.Dest, val: v, stmt: s.NodeID(), bump: false})
 		return nil
 	}
 	return st.storeDest(s, f.Dest, v)
@@ -446,9 +535,17 @@ func (st *stepper) fork(s *lang.CobeginStmt) error {
 	st.cfg.nextInst++
 	inst := st.cfg.nextInst
 	for i, arm := range s.Arms {
-		locals := make([]Value, len(pf.Locals))
-		copy(locals, pf.Locals) // copy-in of enclosing locals (read-only in arms)
-		child := &Process{
+		f := st.sc.frame()
+		*f = Frame{
+			Fn:       pf.Fn,
+			Locals:   st.sc.values(len(pf.Locals)),
+			Blocks:   st.sc.blockStack(1),
+			hasEntry: true,
+		}
+		copy(f.Locals, pf.Locals) // copy-in of enclosing locals (read-only in arms)
+		f.Blocks[0] = blockPos{block: arm, idx: 0}
+		child := st.sc.process()
+		*child = Process{
 			Path:      parent.Path + "/" + strconv.Itoa(i),
 			Status:    StatusRunning,
 			Parent:    parent.Path,
@@ -456,14 +553,10 @@ func (st *stepper) fork(s *lang.CobeginStmt) error {
 			PStr: pstring.Push(parent.PStr, pstring.Sym{
 				Kind: pstring.SymThread, Site: int(s.NodeID()), Which: i, Inst: inst,
 			}),
-			Frames: []*Frame{{
-				Fn:       pf.Fn,
-				Locals:   locals,
-				Blocks:   []blockPos{{block: arm, idx: 0}},
-				hasEntry: true,
-			}},
+			Frames: st.sc.frameStack(1),
 		}
-		st.cloned[child.Path] = true
+		child.Frames[0] = f
+		st.owned = append(st.owned, child)
 		st.cfg.insertProcSorted(child)
 		// The child might have an empty arm; settle it immediately.
 		st.settle(child)

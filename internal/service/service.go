@@ -305,8 +305,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, Response{Error: "decode request: " + err.Error()})
 		return
 	}
-	reg := metrics.New()
-	job, err := s.job(&req, reg)
+	job, reg, err := s.job(&req)
 
 	s.mu.Lock()
 	s.stats.Requests++
@@ -330,8 +329,11 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	f, coalesced := s.flights[job.Key]
 	if coalesced {
+		// The flight's run records into its leader's registry; this
+		// request's own lookup (the miss that led here) folds now.
 		s.stats.CoalesceHits++
 		f.refs++
+		s.fold(reg)
 	} else {
 		ctx, cancel := context.WithCancel(s.base)
 		f = &flight{done: make(chan struct{}), cancel: cancel, refs: 1}
@@ -366,14 +368,15 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 // job validates req, parses its program, and builds the pipeline job
-// that computes it, recording into reg. Every error is the client's.
-func (s *Service) job(req *Request, reg *metrics.Registry) (pipeline.Job, error) {
+// that computes it, recording into the request's registry (made only
+// once the request is valid). Every error is the client's.
+func (s *Service) job(req *Request) (pipeline.Job, *metrics.Registry, error) {
 	switch req.Analysis {
 	case "", "explore":
 		req.Analysis = "explore"
 	case "abstract":
 	default:
-		return pipeline.Job{}, fmt.Errorf("unknown analysis %q (explore|abstract)", req.Analysis)
+		return pipeline.Job{}, nil, fmt.Errorf("unknown analysis %q (explore|abstract)", req.Analysis)
 	}
 	red := explore.Full
 	switch req.Options.Reduction {
@@ -381,18 +384,19 @@ func (s *Service) job(req *Request, reg *metrics.Registry) (pipeline.Job, error)
 	case "stubborn":
 		red = explore.Stubborn
 	default:
-		return pipeline.Job{}, fmt.Errorf("unknown reduction %q (full|stubborn)", req.Options.Reduction)
+		return pipeline.Job{}, nil, fmt.Errorf("unknown reduction %q (full|stubborn)", req.Options.Reduction)
 	}
 	var dom absdom.NumDomain
 	if req.Analysis == "abstract" && req.Options.Domain != "" {
 		if dom = absdom.DomainByName(req.Options.Domain); dom == nil {
-			return pipeline.Job{}, fmt.Errorf("unknown domain %q (const|sign|interval)", req.Options.Domain)
+			return pipeline.Job{}, nil, fmt.Errorf("unknown domain %q (const|sign|interval)", req.Options.Domain)
 		}
 	}
 	prog, err := lang.Parse(req.Program)
 	if err != nil {
-		return pipeline.Job{}, err
+		return pipeline.Job{}, nil, err
 	}
+	reg := metrics.New()
 	ro := pipeline.RunOptions{
 		Reduction:  red,
 		Coarsen:    req.Options.Coarsen,
@@ -408,9 +412,9 @@ func (s *Service) job(req *Request, reg *metrics.Registry) (pipeline.Job, error)
 				ao.Domain = dom
 			}
 			ao.ClanFold = req.Options.ClanFold
-		}), nil
+		}), reg, nil
 	}
-	return pipeline.ExploreJob(req.Program, prog, ro, req.Options.Outcomes), nil
+	return pipeline.ExploreJob(req.Program, prog, ro, req.Options.Outcomes), reg, nil
 }
 
 // run executes one coalesced flight through the cache, which stores the

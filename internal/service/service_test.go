@@ -372,6 +372,51 @@ func main() {
 	}
 }
 
+// Every lookup reaches /metrics, including those of requests coalesced
+// onto another request's run: N identical concurrent requests leave
+// analysis_cache_hit + analysis_cache_miss = N.
+func TestCoalescedLookupsReachMetrics(t *testing.T) {
+	svc, ts := newSvc(t, 0)
+	release := make(chan struct{})
+	svc.runHook = func() { <-release }
+	const n = 4
+	done := make(chan int, n)
+	send := func() {
+		code, _ := post(t, ts.URL, Request{Program: smallProg})
+		done <- code
+	}
+	go send()
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.Stats().Inflight == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("request never became in-flight")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	for i := 1; i < n; i++ {
+		go send()
+	}
+	for svc.Stats().CoalesceHits < n-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d followers coalesced", svc.Stats().CoalesceHits, n-1)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	for i := 0; i < n; i++ {
+		if code := <-done; code != http.StatusOK {
+			t.Fatalf("request answered %d", code)
+		}
+	}
+	c := metricsCounters(t, ts.URL)
+	if got := c["analysis_cache_hit"] + c["analysis_cache_miss"]; got != n {
+		t.Fatalf("analysis_cache_hit+miss = %d after %d lookups (%v)", got, n, c)
+	}
+	if c["analysis_cache_miss"] != n {
+		t.Fatalf("analysis_cache_miss = %d, want %d: every request missed", c["analysis_cache_miss"], n)
+	}
+}
+
 // A panicking run answers 500 to its requester and to every request
 // coalesced onto it, is counted, and leaves nothing cached.
 func TestRunPanicAnswers500(t *testing.T) {
