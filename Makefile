@@ -39,7 +39,7 @@ bench:
 # benchmark pattern. Requires benchstat (go install
 # golang.org/x/perf/cmd/benchstat@latest).
 BASE ?= origin/main
-BENCH_PAT ?= BenchmarkPhilosophers|BenchmarkEncode|BenchmarkParallelExploration|BenchmarkAbstract|BenchmarkSchedRounds|BenchmarkSchedDep|BenchmarkIncrementalReanalysis
+BENCH_PAT ?= BenchmarkPhilosophers|BenchmarkEncode|BenchmarkParallelExploration|BenchmarkAbstract|BenchmarkSchedDep|BenchmarkIncrementalReanalysis
 benchcmp:
 	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -count=6 . > /tmp/bench-head.txt
 	@tmp=$$(mktemp -d); \
@@ -78,11 +78,13 @@ fmt-check:
 		echo "these files need gofmt:"; echo "$$out"; exit 1; \
 	fi
 
-# The explorer's claim order varies with scheduling, so the claim-table
-# and differential tests repeat under the race detector.
+# The explorer's claim order and the abstract engine's join order vary
+# with scheduling, so the claim-table and differential tests repeat
+# under the race detector.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Parallel|Dep|Claim|Scratch' ./internal/explore ./internal/sched
+	$(GO) test -race -count=10 -run 'Parallel|Dep' ./internal/abssem
 
 # One iteration of every benchmark plus the paperbench regression gate —
 # the CI bench-smoke job.

@@ -296,8 +296,8 @@ func BenchmarkAbstractInterpret(b *testing.B) {
 }
 
 // BenchmarkAbstractParallel sweeps the abstract fixpoint engine's
-// leveled rounds over worker counts on the heaviest abstract reference
-// workload (workers-n1 runs the same rounds inline, so it is the
+// dependency-driven executor over worker counts on the heaviest abstract
+// reference workload (workers-n1 runs it inline, so it is the
 // baseline). Results are bit-identical at every worker count, so
 // benchstat comparisons isolate pure scheduling cost/benefit.
 func BenchmarkAbstractParallel(b *testing.B) {
@@ -522,47 +522,6 @@ func BenchmarkExplore(b *testing.B) {
 	})
 }
 
-// BenchmarkSchedRounds measures the shared deterministic runtime
-// (internal/sched) in isolation from the engines: one persistent pool
-// reused across every round, each round fanning n items of fixed
-// arithmetic into position-indexed slots and merging them serially in
-// order. Varying n sweeps the grain heuristic from one-grain rounds to
-// MaxGrain-capped ones; varying workers isolates fan-out, claim, and
-// steal overhead (workers-1 is the inline serial path, so benchstat
-// deltas against it price the scheduling itself).
-func BenchmarkSchedRounds(b *testing.B) {
-	work := func(i int) uint64 {
-		h := uint64(i)*0x9e3779b97f4a7c15 + 1
-		for k := 0; k < 256; k++ {
-			h ^= h >> 33
-			h *= 0xff51afd7ed558ccd
-		}
-		return h
-	}
-	for _, n := range []int{64, 4096} {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("n%d-workers%d", n, workers), func(b *testing.B) {
-				pool := sched.ForWorkers(workers)
-				defer pool.Close()
-				rounds := sched.NewRounds[uint64](pool, sched.Hooks{})
-				var want uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var sum uint64
-					rounds.Do(n,
-						func(j int, slot *uint64) { *slot = work(j) },
-						func(j int, slot *uint64) bool { sum += *slot; return true })
-					if want == 0 {
-						want = sum
-					} else if sum != want {
-						b.Fatalf("round checksum %#x, want %#x", sum, want)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkParallelExploration sweeps the concrete explorer's
 // dependency-driven pipeline over worker counts (workers-n1 runs it
 // inline, so it is the baseline).
@@ -579,16 +538,15 @@ func BenchmarkParallelExploration(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedDep prices the level barrier the dependency-driven
-// executor removes, in isolation from the engines. The workload is a
-// fixed task graph of width independent chains of depth links; one link
-// per level is a straggler (a sleep, so the overlap is visible even on
-// a single-CPU runner) and the rest are free. Straggler positions
-// descend across levels, so each level's straggler is published — and
-// starts sleeping — before the merge chain stalls on the previous
-// level's: the dependency-driven executor overlaps all of them and
-// pays roughly one straggler total, while the leveled executor's
-// barrier pays one per level.
+// BenchmarkSchedDep measures the dependency-driven executor in
+// isolation from the engines. The workload is a fixed task graph of
+// width independent chains of depth links; one link per level is a
+// straggler (a sleep, so the overlap is visible even on a single-CPU
+// runner) and the rest are free. Straggler positions descend across
+// levels, so each level's straggler is published — and starts sleeping
+// — before the merge chain stalls on the previous level's: with no level
+// barrier the executor overlaps all of them and pays roughly one
+// straggler total, where a leveled executor would pay one per level.
 func BenchmarkSchedDep(b *testing.B) {
 	const (
 		width    = 16
@@ -603,23 +561,6 @@ func BenchmarkSchedDep(b *testing.B) {
 		return 0
 	}
 	for _, workers := range []int{4, 8} {
-		b.Run(fmt.Sprintf("leveled-w%d", workers), func(b *testing.B) {
-			pool := sched.ForWorkers(workers)
-			defer pool.Close()
-			rounds := sched.NewRounds[struct{}](pool, sched.Hooks{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				level := make([]task, width)
-				for c := range level {
-					level[c] = task{chain: c}
-				}
-				for l := 0; l < depth; l++ {
-					rounds.Do(width,
-						func(j int, _ *struct{}) { time.Sleep(delay(level[j])) },
-						func(j int, _ *struct{}) bool { level[j].level++; return true })
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("dep-w%d", workers), func(b *testing.B) {
 			pool := sched.ForWorkers(workers)
 			defer pool.Close()

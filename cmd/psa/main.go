@@ -23,9 +23,8 @@
 //
 // -workers N runs both the concrete explorer and the abstract fixpoint
 // engine with N worker goroutines (0/1 sequential, negative GOMAXPROCS);
-// every reported number is identical at any worker count. The explorer
-// runs in parallel on the dependency-driven pipeline, the abstract
-// engine on leveled fan-out/serial-merge rounds.
+// every reported number is identical at any worker count. Both engines
+// run in parallel on the same dependency-driven pipeline.
 //
 // Observability: -metrics prints an engine-counter report (states
 // generated/deduped per BFS level, stubborn-set decisions, widening and

@@ -25,12 +25,10 @@
 // and frontier order in the explorer; joins, widening decisions, and
 // worklist order in the abstract interpreter — so every result and
 // every deterministic metric is bit-identical at any worker count
-// (differential tests pin this under the race detector). Each engine
-// has one parallel executor, the one that measured faster for it
-// (DESIGN.md §7): the explorer runs a dependency-driven pipeline that
+// (differential tests pin this under the race detector). Both engines
+// run on one executor (DESIGN.md §7), a dependency-driven pipeline that
 // merges each task as soon as its predecessors in sequential discovery
-// order have merged, with no level barrier; the abstract interpreter
-// runs leveled fan-out/serial-merge rounds. Both engines accept a context
+// order have merged, with no level barrier. Both engines accept a context
 // (explore.ExploreContext, abssem.AnalyzeContext, or
 // core.Analyzer.WithContext): cancellation stops the run at its next
 // merge boundary and returns a coherent partial result flagged

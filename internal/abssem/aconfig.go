@@ -196,9 +196,10 @@ func cloneProcIn(c *AConfig, i int) *AProc {
 	return np
 }
 
-// joinInto joins the value state of src into dst (same control skeleton);
-// reports whether dst changed. When widen is set, numeric components
-// widen instead of joining.
+// joinInto joins the value state of src into dst (same control
+// skeleton) and returns the configuration holding the join, or nil when
+// nothing changed. When widen is set, numeric components widen instead
+// of joining.
 //
 // Every component is tested src ⊑ dst first and joined only when that
 // fails. A join or widening of something not below dst is an upper bound
@@ -210,9 +211,22 @@ func cloneProcIn(c *AConfig, i int) *AProc {
 //
 // dst is a stored state, whose processes may be shared with other states
 // (see aState), so a process is copied with cloneProcIn before its first
-// write and the shared original is left as it was.
-func (dst *AConfig) joinInto(src *AConfig, widen bool) bool {
-	changed := false
+// write and the shared original is left as it was. Without copyShell the
+// join goes into dst itself and dst is returned. With copyShell, dst may
+// be under a concurrent expansion and is never written: the first write
+// copies dst's shell (its Procs slice, Store and MayError), the join goes
+// into the copy, and the copy is returned.
+func (dst *AConfig) joinInto(src *AConfig, widen, copyShell bool) *AConfig {
+	var out *AConfig // the configuration written, made on the first write
+	shell := func() *AConfig {
+		if out == nil {
+			out = dst
+			if copyShell {
+				out = dst.clone()
+			}
+		}
+		return out
+	}
 	jv := func(a, b absdom.Value) absdom.Value {
 		if widen {
 			return a.Widen(b)
@@ -224,10 +238,10 @@ func (dst *AConfig) joinInto(src *AConfig, widen bool) bool {
 		if p == q {
 			continue // one shared process: nothing to join
 		}
-		var own *AProc // dst's private copy of p, made on the first write
+		var own *AProc // the written configuration's copy of p, made on the first write
 		frame := func(j int) *AFrame {
 			if own == nil {
-				own = cloneProcIn(dst, i)
+				own = cloneProcIn(shell(), i)
 			}
 			return own.Frames[j]
 		}
@@ -236,38 +250,32 @@ func (dst *AConfig) joinInto(src *AConfig, widen bool) bool {
 			for k, v := range g.Locals {
 				if !v.Leq(f.Locals[k]) {
 					frame(j).Locals[k] = jv(f.Locals[k], v)
-					changed = true
 				}
 			}
 			if f.Pending != nil && g.Pending != nil {
 				if !g.Pending.val.Leq(f.Pending.val) {
 					frame(j).Pending.val = jv(f.Pending.val, g.Pending.val)
-					changed = true
 				}
 				if d, ok := mergeDest(f.Pending.dest, g.Pending.dest); ok {
 					frame(j).Pending.dest = d
-					changed = true
 				}
 			}
 			if d, ok := mergeDest(f.Dest, g.Dest); ok {
 				frame(j).Dest = d
-				changed = true
 			}
 		}
 	}
 	if !src.Store.Leq(dst.Store) {
 		if widen {
-			dst.Store = dst.Store.Widen(src.Store)
+			shell().Store = dst.Store.Widen(src.Store)
 		} else {
-			dst.Store = dst.Store.Join(src.Store)
+			shell().Store = dst.Store.Join(src.Store)
 		}
-		changed = true
 	}
 	if src.MayError && !dst.MayError {
-		dst.MayError = true
-		changed = true
+		shell().MayError = true
 	}
-	return changed
+	return out
 }
 
 // mergeDest unions the target sets of two dests with the same kind and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"psa/internal/absdom"
 	"psa/internal/lang"
@@ -43,12 +44,12 @@ type Options struct {
 	// widening kicks in (default 4). Negative requests 0: widening on the
 	// first rejoin, the fastest-converging (coarsest) iteration strategy.
 	WidenAfter int
-	// Workers is the number of goroutines expanding each worklist round
-	// (see aparallel.go): 0 or 1 runs the rounds inline on the caller's
-	// goroutine, a negative count uses GOMAXPROCS. Every Result field
-	// and every deterministic metrics counter is bit-identical at any
-	// worker count: joins, widening decisions, dedup, and queue order
-	// stay in a serial per-round merge.
+	// Workers is the number of goroutines expanding worklist entries
+	// (see aparallel.go): 0 or 1 runs the worklist inline on the
+	// caller's goroutine, a negative count uses GOMAXPROCS. Every Result
+	// field and every deterministic metrics counter is bit-identical at
+	// any worker count: joins, widening decisions, dedup, and queue
+	// order stay in the serial merge.
 	Workers int
 	// Pool, when non-nil, is the shared scheduler pool (internal/sched)
 	// the parallel fixpoint runs on: its worker count governs
@@ -106,7 +107,7 @@ type Result struct {
 	// States is the number of distinct abstract configurations (control
 	// points after Taylor folding; the quantity of paper Figure 3).
 	States int
-	// Visits counts worklist processing rounds (cost proxy).
+	// Visits counts worklist entries processed (cost proxy).
 	Visits int
 	// Terminal is the join of the stores of all terminal abstract
 	// configurations (nil when none was reached).
@@ -197,17 +198,16 @@ func (r *Result) GlobalInvariant(name string) (absdom.Value, bool) {
 // holds) is never mutated in place. A new state stores the successor
 // configuration itself, which shares its unchanged processes with the
 // state it was stepped from, and joinInto copies a process with
-// cloneProcIn before it writes to it. Only the AConfig itself — its
-// Procs slice, Store and MayError — belongs to the state alone.
+// cloneProcIn before it writes to it. Only the AConfig shell — its Procs
+// slice, Store and MayError — belongs to the state alone, and while the
+// state has a queued task even that is replaced rather than written
+// (see analyzeParallel).
 type aState struct {
-	cfg    *AConfig
+	// cfg is the state's current configuration: loaded by expansions
+	// on any goroutine, stored only by the merge.
+	cfg    atomic.Pointer[AConfig]
 	visits int
 	queued bool
-	// changed is the merge sequence number of the last join that grew
-	// this state's value component; the round merge compares it with
-	// the round's start to detect an expansion computed from a stale
-	// value state.
-	changed int
 }
 
 // newStepCtx builds the per-run context of the abstract semantics.
@@ -269,27 +269,27 @@ func (res *Result) collect(states map[ctrlSig]*aState, m *metrics.Registry) {
 	sort.Strings(sigs)
 	res.at = map[lang.NodeID]*absdom.Store{}
 	for _, sig := range sigs {
-		stv := states[ctrlSig(sig)]
-		for _, p := range stv.cfg.Procs {
+		cfg := states[ctrlSig(sig)].cfg.Load()
+		for _, p := range cfg.Procs {
 			if p.Status != Running {
 				continue
 			}
 			if s := nextStmt(p); s != nil {
 				if cur, ok := res.at[s.NodeID()]; ok {
-					cur.JoinInPlace(stv.cfg.Store)
+					cur.JoinInPlace(cfg.Store)
 				} else {
-					res.at[s.NodeID()] = stv.cfg.Store.Clone()
+					res.at[s.NodeID()] = cfg.Store.Clone()
 				}
 			}
 		}
-		if len(stv.cfg.enabled()) == 0 {
+		if len(cfg.enabled()) == 0 {
 			res.TerminalCount++
 			if res.Terminal == nil {
-				res.Terminal = stv.cfg.Store.Clone()
+				res.Terminal = cfg.Store.Clone()
 			} else {
-				res.Terminal.JoinInPlace(stv.cfg.Store)
+				res.Terminal.JoinInPlace(cfg.Store)
 			}
-			if stv.cfg.MayError {
+			if cfg.MayError {
 				res.MayError = true
 			}
 		}

@@ -123,7 +123,7 @@ var g;
 func main() { g = 1; }
 `)
 	cfg := initialConfig(prog, absdom.ConstDomain{})
-	states := map[ctrlSig]*aState{cfg.signature(): {cfg: cfg}}
+	states := map[ctrlSig]*aState{cfg.signature(): stateOf(cfg)}
 	res := &Result{prog: prog}
 	res.collect(states, nil)
 	if len(res.at) == 0 {
@@ -141,7 +141,7 @@ func main() { g = 1; }
 	// Terminal-only configuration: the terminal join must be cloned too.
 	term := initialConfig(prog, absdom.ConstDomain{})
 	term.Procs[0].Status = Done
-	tstates := map[ctrlSig]*aState{term.signature(): {cfg: term}}
+	tstates := map[ctrlSig]*aState{term.signature(): stateOf(term)}
 	tres := &Result{prog: prog}
 	tres.collect(tstates, nil)
 	if tres.TerminalCount != 1 {
@@ -153,4 +153,11 @@ func main() { g = 1; }
 	if !tres.Terminal.Eq(term.Store) {
 		t.Error("cloned terminal differs from source")
 	}
+}
+
+// stateOf returns a stored state holding cfg.
+func stateOf(cfg *AConfig) *aState {
+	st := &aState{}
+	st.cfg.Store(cfg)
+	return st
 }

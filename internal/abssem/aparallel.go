@@ -2,6 +2,7 @@ package abssem
 
 import (
 	"context"
+	"time"
 
 	"psa/internal/lang"
 	"psa/internal/metrics"
@@ -9,47 +10,42 @@ import (
 )
 
 // analyzeParallel is the abstract fixpoint engine's one worklist loop:
-// FIFO worklist iteration structured into rounds on the shared
-// deterministic runtime (internal/sched), so successor generation
-// parallelizes while the lattice bookkeeping stays serial (after Kim,
-// Venet & Thakur, "Deterministic Parallel Fixpoint Computation", POPL
-// 2020). At 0 or 1 workers the rounds run on the nil pool, which
-// expands a whole round inline and then merges it.
+// the FIFO worklist of §6 run on sched.DepRounds, the dependency-driven
+// executor the explorer shares, so successor generation parallelizes
+// while the lattice bookkeeping stays serial (after Kim, Venet & Thakur,
+// "Deterministic Parallel Fixpoint Computation", POPL 2020). Each
+// worklist entry is one task, whose payload is its state.
 //
-// Each round snapshots the pending worklist and fans the expensive,
-// side-effect-free work — sc.step (abstract transfer functions),
-// signature (Taylor fold keys), and footprint recording into private
-// scratch — out across sched's persistent workers using the strided-
-// grain + CAS-claim + steal-cursor scheduling both engines share. The
-// serial merge then walks the worklist in FIFO order: visits, dedup,
-// joins, widening decisions (visits >= WidenAfter), queue appends, and
-// the MaxStates truncation cut all happen in one goroutine, so every
-// Result field and every deterministic metrics counter is bit-identical
-// for any worker count.
+// Workers expand tasks as soon as they are published — sc.step
+// (abstract transfer functions), signature (Taylor fold keys), and
+// footprint recording into private scratch — from the configuration
+// the state holds at that moment. The serial merge then walks the tasks
+// in worklist order: visits, dedup, joins, widening decisions (visits
+// >= WidenAfter), queue appends, and the MaxStates truncation cut all
+// happen on one goroutine, and only the merge touches the state table,
+// so every Result field and every deterministic metrics counter is
+// bit-identical for any worker count.
 //
-// The one way a snapshot can go stale — and the reason a naive leveled
-// parallelization of THIS worklist would diverge from one-entry-at-a-
-// time iteration — is a join: merging an earlier entry of the round may
-// grow the value state of a later entry (the abstract engine joins into
-// stored states, where the concrete explorer's states are immutable).
-// The merge tracks a per-state change sequence number; an entry whose
-// state grew after the round snapshot is re-expanded serially from its
-// current value state, exactly as it would be if popped and expanded on
-// its own. Stale entries are rare in practice (a state must be re-joined
-// in the same round that re-visits it) and are counted in the perf-only
-// abs_stale_recomputes metric. The snapshot does not depend on the
-// worker count, so the inline run recomputes the same entries.
+// A state's configuration is published through an atomic pointer, and
+// the configuration's shell identity is its version: a join into a state
+// that still has a queued task — whose expansion may be reading the
+// configuration right now — never writes it, but joins into a copy of
+// the shell (AConfig.joinInto's copyShell) and publishes the copy. A
+// task whose state's configuration changed after its expansion loaded
+// it is stale: the merge re-expands it from the current configuration,
+// exactly as the sequential worklist would when popping it, and counts
+// the perf-only abs_stale_recomputes. Joins into a state with no queued
+// task, and every join on the nil pool, go in place: no expansion can
+// be reading the configuration then.
 //
-// The dependency-driven executor (sched.DepRounds) measured slower here
-// (DESIGN.md §7): a worker may still be reading a state the merge joins
-// into, so every such join would have to copy the configuration, and
-// those copies cost more than the round barrier saves.
+// At 0 or 1 workers the executor runs on the nil pool, which expands
+// each task right before its merge: the plain sequential worklist,
+// which never re-expands.
 //
-// Cancellation rides the sched runtime: rounds.DoContext stops the
-// serial merge before its next entry once ctx fires, in-flight
-// expansions drain, and the run falls through to collection exactly
-// like the MaxStates truncation cut, so the partial Result is coherent
-// for the merged prefix.
+// Cancellation rides dep.RunContext: the merge stops before its next
+// entry once ctx fires, in-flight expansions drain, and the run falls
+// through to collection exactly like the MaxStates truncation cut, so
+// the partial Result is coherent for the merged prefix.
 func analyzeParallel(ctx context.Context, prog *lang.Program, opts Options) *Result {
 	pool := opts.Pool
 	if pool == nil || opts.Workers == 0 || opts.Workers == 1 {
@@ -58,122 +54,140 @@ func analyzeParallel(ctx context.Context, prog *lang.Program, opts Options) *Res
 	}
 	// Metrics discipline: every counter that must not depend on the
 	// worker count (visits, joins, widenings, states) is recorded in the
-	// serial merge; workers only compute. The worker-dependent counters
-	// (abs_steals, fed through the sched steal hook) and the
-	// round-structure ones (abs_stale_recomputes) are perf-only.
+	// serial merge; workers only compute. The scheduling-dependent ones
+	// (abs_stale_recomputes, abs_dep_merge_waits, dep_ready_depth) are
+	// perf-only.
 	m := opts.Metrics
 	defer m.Phase("abstract")()
 	sc := newStepCtx(prog, opts)
 	res := &Result{prog: prog, foot: sc.foot}
 
 	init := initialConfig(prog, opts.Domain)
-	states := map[ctrlSig]*aState{}
-	sig0 := init.signature()
-	states[sig0] = &aState{cfg: init, queued: true}
-	queue := []ctrlSig{sig0}
-	head := 0
-	// mergeSeq numbers the joins that changed a stored state; a worklist
-	// entry is stale when its state's change number postdates the round
-	// snapshot the workers expanded.
-	mergeSeq := 0
+	st0 := &aState{queued: true}
+	st0.cfg.Store(init)
+	states := map[ctrlSig]*aState{init.signature(): st0}
+	total := 1 // tasks published: the worklist's appends
 
-	rounds := sched.NewRounds[aExpansion](pool, sched.Hooks{
-		Width:       func(n int) { m.SetGauge(metrics.AbsFrontierWidth, int64(n)) },
-		Steals:      func(s int64) { m.Add(metrics.AbsSteals, s) },
-		ExpandPhase: func() func() { return m.Phase("abstract-expand") },
-		MergePhase:  func() func() { return m.Phase("abstract-merge") },
+	dep := sched.NewDepRounds[*aState, aSlot](pool, sched.DepHooks{
+		Ready:     func(n int) { m.MaxGauge(metrics.DepReadyDepth, int64(n)) },
+		MergeWait: func() { m.Inc(metrics.AbsDepMergeWaits) },
 	})
 
-	for head < len(queue) {
-		round := queue[head:]
-		roundStart := mergeSeq
+	// Phase time is summed per task and flushed once: each expansion's
+	// time is measured in its slot, each merge's on the merger.
+	timed := m != nil
+	var expandNanos, mergeNanos, merged int64
 
-		// Expansion phase: precompute every entry's successors from a
-		// snapshot of its value state. States are only mutated by the
-		// (not yet running) merge, so workers read them freely.
-		expand1 := func(i int, e *aExpansion) {
-			*e = expandState(sc, states[round[i]].cfg)
+	expand := func(i int, stv **aState, s *aSlot) {
+		var start time.Time
+		if timed {
+			start = time.Now()
 		}
-
-		// Merge phase: one worklist step over one round entry; returns
-		// false on the MaxStates truncation cut.
-		merge1 := func(i int, e *aExpansion) bool {
-			sig := round[i]
-			m.SetGauge(metrics.QueueLen, int64(len(queue)-head))
-			m.MaxGauge(metrics.MaxFrontier, int64(len(queue)-head))
-			head++
-			stv := states[sig]
-			stv.queued = false
-			stv.visits++
-			res.Visits++
-			m.Inc(metrics.AbsVisits)
-
-			if len(e.enabled) == 0 {
-				return true // terminal; collected after the fixpoint
-			}
-			if stv.changed > roundStart {
-				// A join earlier in this round grew this entry's value
-				// state after the snapshot; recompute its successors from
-				// the current state.
-				*e = expandState(sc, stv.cfg)
-				m.Inc(metrics.AbsStaleRecomputes)
-			}
-			for j := range e.enabled {
-				sc.foot.merge(e.foots[j])
-				for k, succ := range e.succs[j] {
-					if succ.Procs == nil {
-						// Error witness: no continuation.
-						if succ.MayError {
-							res.MayError = true
-						}
-						continue
-					}
-					if succ.MayError {
-						res.MayError = true
-					}
-					nsig := e.sigs[j][k]
-					cur, ok := states[nsig]
-					if !ok {
-						if len(states) >= opts.MaxStates {
-							res.Truncated = true
-							return false
-						}
-						cur = &aState{cfg: succ}
-						states[nsig] = cur
-						cur.queued = true
-						queue = append(queue, nsig)
-						continue
-					}
-					widen := cur.visits >= opts.WidenAfter
-					m.Inc(metrics.AbsJoins)
-					if widen {
-						m.Inc(metrics.AbsWidenings)
-					}
-					if cur.cfg.joinInto(succ, widen) {
-						mergeSeq++
-						cur.changed = mergeSeq
-						if !cur.queued {
-							cur.queued = true
-							queue = append(queue, nsig)
-						}
-					}
-				}
-			}
-			return true
-		}
-
-		if !rounds.DoContext(ctx, len(round), expand1, merge1) {
-			// Truncated or cancelled: fall through to collection either
-			// way, so the partial result reports the explored prefix.
-			if !res.Truncated {
-				res.Cancelled = true
-			}
-			break
+		s.cfg = (*stv).cfg.Load()
+		s.ex = expandState(sc, s.cfg)
+		if timed {
+			s.nanos = time.Since(start).Nanoseconds()
 		}
 	}
 
+	// merge is one worklist step over one task; it returns false on the
+	// MaxStates truncation cut.
+	merge := func(i int, pstv **aState, s *aSlot, emit func(*aState)) bool {
+		if timed {
+			defer func(start time.Time) {
+				mergeNanos += time.Since(start).Nanoseconds()
+				expandNanos += s.nanos
+				merged++
+			}(time.Now())
+		}
+		stv := *pstv
+		m.SetGauge(metrics.QueueLen, int64(total-i))
+		m.MaxGauge(metrics.MaxFrontier, int64(total-i))
+		stv.queued = false
+		stv.visits++
+		res.Visits++
+		m.Inc(metrics.AbsVisits)
+
+		e := &s.ex
+		if len(e.enabled) == 0 {
+			return true // terminal; collected after the fixpoint
+		}
+		if cfg := stv.cfg.Load(); cfg != s.cfg {
+			// A join grew this state after the expansion loaded it;
+			// recompute its successors from the current configuration.
+			// enabled() is control-only, so the terminal check above
+			// holds either way.
+			*e = expandState(sc, cfg)
+			m.Inc(metrics.AbsStaleRecomputes)
+		}
+		for j := range e.enabled {
+			sc.foot.merge(e.foots[j])
+			for k, succ := range e.succs[j] {
+				if succ.Procs == nil {
+					// Error witness: no continuation.
+					if succ.MayError {
+						res.MayError = true
+					}
+					continue
+				}
+				if succ.MayError {
+					res.MayError = true
+				}
+				nsig := e.sigs[j][k]
+				cur, ok := states[nsig]
+				if !ok {
+					if len(states) >= opts.MaxStates {
+						res.Truncated = true
+						return false
+					}
+					cur = &aState{queued: true}
+					cur.cfg.Store(succ)
+					states[nsig] = cur
+					total++
+					emit(cur)
+					continue
+				}
+				widen := cur.visits >= opts.WidenAfter
+				m.Inc(metrics.AbsJoins)
+				if widen {
+					m.Inc(metrics.AbsWidenings)
+				}
+				cfg := cur.cfg.Load()
+				if nc := cfg.joinInto(succ, widen, cur.queued && pool != nil); nc != nil {
+					if nc != cfg {
+						cur.cfg.Store(nc)
+					}
+					if !cur.queued {
+						cur.queued = true
+						total++
+						emit(cur)
+					}
+				}
+			}
+		}
+		return true
+	}
+
+	if !dep.RunContext(ctx, []*aState{st0}, expand, merge) && !res.Truncated {
+		// Truncated or cancelled: fall through to collection either way,
+		// so the partial result reports the explored prefix.
+		res.Cancelled = true
+	}
+	if timed {
+		m.RecordPhase("abstract-expand", expandNanos, merged)
+		m.RecordPhase("abstract-merge", mergeNanos, merged)
+	}
 	res.collect(states, m)
 	return res
+}
+
+// aSlot is one task's expansion and the configuration it was computed
+// from, whose identity the merge compares with the state's current one;
+// nanos is the expansion's wall-clock when metrics are on.
+type aSlot struct {
+	cfg   *AConfig
+	ex    aExpansion
+	nanos int64
 }
 
 // aExpansion is one worklist entry's precomputed expansion: per enabled
@@ -195,7 +209,7 @@ type aExpansion struct {
 // collected, each process steps through a shallow copy of sc pointing at
 // a private scratch recorder, so concurrent expansions never share the
 // mutable footprint map; everything else in sc is read-only during a
-// round.
+// run.
 func expandState(sc *stepCtx, cfg *AConfig) aExpansion {
 	e := aExpansion{enabled: cfg.enabled()}
 	if len(e.enabled) == 0 {

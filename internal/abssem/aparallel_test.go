@@ -77,9 +77,10 @@ func analyzeAt(prog *lang.Program, opts Options, workers int) *Result {
 // run's Result bit-for-bit — including the deterministic metrics
 // counters — at 1, 2, 4, 8, and GOMAXPROCS workers, across domains and
 // workload shapes.
-// (CI runs this under -race; the workers share the step context and the
-// round's state snapshots, so the race detector exercises the "workers
-// only read, merge only writes" discipline.)
+// (CI runs this under -race; the workers share the step context and
+// load the states' configurations while the merge joins, so the race
+// detector exercises the "workers only read, merge only writes"
+// discipline.)
 func TestParallelMatchesSequentialAbstract(t *testing.T) {
 	domains := map[string]absdom.NumDomain{
 		"const":    absdom.ConstDomain{},
@@ -151,9 +152,9 @@ func TestParallelCorpusAbstract(t *testing.T) {
 }
 
 // Random programs (loops, nested cobegin, heap traffic) stress join/widen
-// interleavings the hand-written workloads miss — in particular rounds
-// where a join grows a state that was snapshotted earlier in the same
-// round (the stale-recompute path).
+// interleavings the hand-written workloads miss — in particular joins
+// that grow a state after a worker expanded its queued task (the
+// stale-recompute path).
 func TestParallelRandomAbstract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("random corpus in -short mode")

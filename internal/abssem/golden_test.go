@@ -88,7 +88,7 @@ func goldenOf(prog *lang.Program, opts abssem.Options) goldenEntry {
 // The fixpoint at 0 and 1 workers must reproduce, case for case, the
 // output recorded in testdata/seq_golden.json — generated from the
 // hand-written sequential worklist loop the engine had before its
-// parallel rounds became the only loop. Differential tests compare N
+// parallel executor became the only loop. Differential tests compare N
 // workers against the 1-worker run; this test keeps that run itself
 // fixed. Regenerate only for an intended change of output: go test -run
 // TestSequentialGolden -update.
@@ -157,5 +157,19 @@ func writeGolden(t *testing.T, entries map[string]goldenEntry) {
 	}
 	if err := os.WriteFile(goldenPath, b.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// At one worker the executor expands each task right before its merge:
+// the plain sequential worklist, which never finds a task stale.
+func TestInlineNeverRecomputes(t *testing.T) {
+	for _, c := range goldenCases(t) {
+		m := metrics.New()
+		o := c.opts
+		o.Workers, o.Metrics = 1, m
+		abssem.Analyze(c.prog, o)
+		if n := m.Get(metrics.AbsStaleRecomputes); n != 0 {
+			t.Errorf("%s: %d stale recomputes at one worker, want 0", c.name, n)
+		}
 	}
 }

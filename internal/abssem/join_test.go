@@ -47,8 +47,8 @@ func TestMergeDestDoesNotAliasCopies(t *testing.T) {
 		cloneProcIn(c, 0).Frames[0].Dest.ts = []absdom.Target{tg}
 		return c
 	}
-	orig.joinInto(from(gt(1)), false)
-	cp.joinInto(from(gt(2)), false)
+	orig.joinInto(from(gt(1)), false, false)
+	cp.joinInto(from(gt(2)), false, false)
 	if got, want := orig.Procs[0].Frames[0].Dest.ts, []absdom.Target{gt(0), gt(1)}; !slices.Equal(got, want) {
 		t.Errorf("original frame dest = %v, want %v", got, want)
 	}
@@ -94,20 +94,49 @@ func main() { var x = 1; var y = 2; g = x; }
 
 // TestJoinIntoBelowAllocatesNothing pins the Leq-first join: joining or
 // widening a configuration already below the stored one reports no
-// change, leaves the stored one as it was, and allocates nothing.
+// change, leaves the stored one as it was, and allocates nothing — with
+// or without the shell copy a queued state's join asks for.
 func TestJoinIntoBelowAllocatesNothing(t *testing.T) {
 	dst, src := joinFixture(t)
 	before, proc := dst.String()+dst.Procs[0].Frames[0].Locals[0].String(), dst.Procs[0]
 	for _, widen := range []bool{false, true} {
-		if dst.joinInto(src, widen) {
-			t.Fatalf("joinInto(widen=%v) of a smaller configuration reported a change", widen)
-		}
-		if allocs := testing.AllocsPerRun(100, func() { dst.joinInto(src, widen) }); allocs != 0 {
-			t.Errorf("joinInto(widen=%v) of a smaller configuration: %v allocs, want 0", widen, allocs)
+		for _, copyShell := range []bool{false, true} {
+			if dst.joinInto(src, widen, copyShell) != nil {
+				t.Fatalf("joinInto(widen=%v, copyShell=%v) of a smaller configuration reported a change",
+					widen, copyShell)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { dst.joinInto(src, widen, copyShell) }); allocs != 0 {
+				t.Errorf("joinInto(widen=%v, copyShell=%v) of a smaller configuration: %v allocs, want 0",
+					widen, copyShell, allocs)
+			}
 		}
 	}
 	if after := dst.String() + dst.Procs[0].Frames[0].Locals[0].String(); after != before || dst.Procs[0] != proc {
 		t.Errorf("stored configuration changed: %s -> %s", before, after)
+	}
+}
+
+// TestJoinIntoCopyShell pins the join into a state that still has a
+// queued task: the stored configuration, which an expansion may be
+// reading, is left exactly as it was, and the join lands in a fresh
+// shell that shares every process it did not grow.
+func TestJoinIntoCopyShell(t *testing.T) {
+	dst, src := joinFixture(t)
+	// Swap roles: the smaller configuration receives the larger one.
+	procs, store := slices.Clone(src.Procs), src.Store
+	before := src.String()
+	nc := src.joinInto(dst, false, true)
+	if nc == nil || nc == src {
+		t.Fatalf("joinInto with copyShell returned %p for stored %p, want a fresh shell", nc, src)
+	}
+	if !slices.Equal(src.Procs, procs) || src.Store != store || src.String() != before {
+		t.Error("the stored configuration changed under a copy-shell join")
+	}
+	if nc.Procs[0] == procs[0] || nc.Procs[1] != procs[1] {
+		t.Error("the fresh shell must copy the grown process and share the other")
+	}
+	if !dst.Store.Leq(nc.Store) {
+		t.Errorf("joined store %s does not cover %s", nc.Store, dst.Store)
 	}
 }
 
@@ -120,7 +149,7 @@ func TestJoinIntoCopiesBeforeWrite(t *testing.T) {
 	shared, sharedOther := src.Procs[0], src.Procs[1]
 	locals := slices.Clone(shared.Frames[0].Locals)
 	pending := *shared.Frames[0].Pending
-	if !src.joinInto(dst, false) {
+	if src.joinInto(dst, false, false) != src {
 		t.Fatal("joining a larger configuration reported no change")
 	}
 	if src.Procs[0] == shared {

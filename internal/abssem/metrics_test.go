@@ -37,7 +37,7 @@ func main() {
 		t.Error("no widening events recorded on a looping program")
 	}
 	// The run records its whole span as "abstract" and, like every
-	// worker count, each round's fan-out and merge.
+	// worker count, its tasks' expansion and merge time.
 	phases := map[string]bool{}
 	for _, p := range m.Snapshot().Phases {
 		phases[p.Name] = true

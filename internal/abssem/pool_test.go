@@ -46,9 +46,9 @@ func TestSharedPoolAcrossEngines(t *testing.T) {
 	waitForGoroutineBaseline(t, before)
 }
 
-// A MaxStates truncation cuts the serial merge mid-round, after the
-// fan-out finished; the shared pool must stay usable and the run must
-// not leak workers.
+// A MaxStates truncation cuts the serial merge while workers may still
+// be expanding; the shared pool must stay usable and the run must not
+// leak workers.
 func TestPoolCleanShutdownOnTruncation(t *testing.T) {
 	prog := workloads.Philosophers(3)
 	before := runtime.NumGoroutine()
@@ -83,9 +83,8 @@ func TestPrivatePoolNoGoroutineLeak(t *testing.T) {
 	waitForGoroutineBaseline(t, before)
 }
 
-// The abstract engine's leveled rounds share the pool with the concrete
-// explorer, whose parallel loop is the dependency-driven pipeline
-// (sched.DepRounds). The tests below interleave the two on one pool.
+// Both engines run on the dependency-driven pipeline (sched.DepRounds)
+// and may share one pool. The tests below interleave the two on it.
 
 // exploreMatches runs the concrete explorer on pool and asserts it
 // matches the inline explorer under the same options.
@@ -225,8 +224,8 @@ func TestDepSharedPoolAndTruncationShutdown(t *testing.T) {
 	waitForGoroutineBaseline(t, before)
 }
 
-// Private pools of both engines — the explorer's pipeline and the
-// abstract rounds, complete and truncated — tear down on exit.
+// Private pools of both engines, complete and truncated runs, tear
+// down on exit.
 func TestDepPrivatePoolNoGoroutineLeak(t *testing.T) {
 	prog := workloads.Philosophers(3)
 	before := runtime.NumGoroutine()

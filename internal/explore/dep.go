@@ -18,8 +18,8 @@ import (
 // freely crossing BFS level boundaries — and the serial merge does the
 // BFS bookkeeping in strict task order. One deep coarsened run therefore
 // never stalls a whole level: successors of already-merged entries are
-// being expanded while the straggler is still running. Leveled rounds
-// on sched.Rounds measured slower for this engine (DESIGN.md §7).
+// being expanded while the straggler is still running. The abstract
+// fixpoint runs on the same executor (DESIGN.md §7).
 //
 // At 0 or 1 workers the executor runs on the nil pool, which performs
 // expand and merge inline for one task after another: the plain

@@ -31,8 +31,8 @@ func TestSharedPoolReuseAcrossExplores(t *testing.T) {
 	waitForGoroutineBaseline(t, before)
 }
 
-// A MaxConfigs cut lands mid-merge, after the round's fan-out already
-// completed — the pool must come back idle and immediately usable, and
+// A MaxConfigs cut lands mid-merge while workers may still be
+// expanding — the pool must come back idle and immediately usable, and
 // exploration must not leak the workers of the cut run.
 func TestPoolCleanShutdownOnTruncation(t *testing.T) {
 	before := runtime.NumGoroutine()

@@ -73,16 +73,17 @@ const (
 	// steal cursor, so nothing emits it and it always reads 0. It stays
 	// defined (perf-only) because benchmark reports still read it.
 	FrontierSteals
-	// AbsSteals counts expansion grains the parallel abstract fixpoint
-	// engine's workers claimed outside their home stride (dynamic load
-	// balancing). Perf-only and scheduling-dependent.
+	// AbsSteals belonged to the abstract engine's leveled rounds, whose
+	// steal cursor no longer exists: the engine runs on the dependency-
+	// driven executor, so nothing emits it and it always reads 0. It
+	// stays defined (perf-only) because benchmark reports still read it.
 	AbsSteals
-	// AbsStaleRecomputes counts worklist entries the abstract engine had
-	// to re-expand serially because a join earlier in the same round grew
-	// their value state after the round snapshot. The count is a
-	// deterministic property of the round structure at any worker count,
-	// but a worklist that expands one entry at a time never recomputes,
-	// so it stays outside the deterministic counter set.
+	// AbsStaleRecomputes counts tasks the abstract engine's merge had to
+	// re-expand because a join grew their state after a worker expanded
+	// it. It depends on how far workers run ahead of the merge, so it is
+	// scheduling-dependent and perf-only; the inline run (0 or 1
+	// workers) expands each task right before its merge and never
+	// recomputes.
 	AbsStaleRecomputes
 	// PipelineFusedSinks counts sinks fed from a shared traversal by a
 	// pipeline.MultiSink (per fused run, one increment per sink beyond
@@ -100,10 +101,9 @@ const (
 	// analogue of a level-barrier stall). Scheduling-dependent and
 	// perf-only.
 	DepMergeWaits
-	// AbsDepMergeWaits belonged to the abstract engine's dependency-driven
-	// loop, which no longer exists. Nothing emits it, so it always reads
-	// 0; it stays defined (perf-only) because benchmark reports still
-	// read it.
+	// AbsDepMergeWaits counts the times the abstract engine's merger
+	// blocked on the head task's expansion — DepMergeWaits for the
+	// abstract fixpoint. Scheduling-dependent and perf-only.
 	AbsDepMergeWaits
 	// SummaryHit / SummaryMiss / SummaryInvalidated belonged to the
 	// procedure-summary cache the abstract engine no longer has. No code
@@ -202,12 +202,8 @@ const (
 	// at the end of a run: full key bytes in exact mode, fingerprint
 	// table bytes in fingerprint mode.
 	VisitedBytes
-	// AbsFrontierWidth is the number of worklist entries the parallel
-	// abstract fixpoint engine expanded in the current round; its peak
-	// over a run is the abstract analogue of MaxFrontier.
-	AbsFrontierWidth
 	// DepReadyDepth records the peak published-but-unclaimed backlog the
-	// parallel explorer's dependency-driven workers saw when claiming.
+	// dependency-driven workers of either engine saw when claiming.
 	// Scheduling-dependent, like every gauge outside the determinism
 	// comparisons.
 	DepReadyDepth
@@ -215,13 +211,12 @@ const (
 )
 
 var gaugeNames = [numGauges]string{
-	FrontierWidth:    "frontier_width",
-	Level:            "level",
-	MaxFrontier:      "max_frontier",
-	QueueLen:         "queue_len",
-	VisitedBytes:     "visited_bytes",
-	AbsFrontierWidth: "abs_frontier_width",
-	DepReadyDepth:    "dep_ready_depth",
+	FrontierWidth: "frontier_width",
+	Level:         "level",
+	MaxFrontier:   "max_frontier",
+	QueueLen:      "queue_len",
+	VisitedBytes:  "visited_bytes",
+	DepReadyDepth: "dep_ready_depth",
 }
 
 // String returns the snake_case snapshot key of the gauge.

@@ -78,8 +78,10 @@ type AbsWorkloadRow struct {
 	// Key fixpoint counters from the run's metrics registry.
 	Joins     int64 `json:"joins"`
 	Widenings int64 `json:"widenings"`
-	// Steals and StaleRecomputes are perf-only round counters (steals
-	// are always 0 at 0 or 1 workers).
+	// Steals and StaleRecomputes are perf-only scheduling counters.
+	// Steals is always 0 (the executor has no steal cursor; the field
+	// stays for the report's schema), and StaleRecomputes is 0 at 0 or
+	// 1 workers.
 	Steals          int64 `json:"steals"`
 	StaleRecomputes int64 `json:"stale_recomputes"`
 

@@ -99,10 +99,11 @@ func TestIncrementalBitIdentical(t *testing.T) {
 		ro   RunOptions
 	}{
 		{"seq", RunOptions{}},
-		// The abstract engine's parallel loop is leveled rounds.
+		// A 4-worker pool; the abstract engine runs on sched.DepRounds.
+		// (The name predates the deleted leveled rounds.)
 		{"leveled4", RunOptions{Workers: 4}},
-		// RunOptions.Sched is ignored: asking for the dependency-driven
-		// scheduler still runs leveled rounds, bit-identical to scratch.
+		// RunOptions.Sched is ignored: both values run the same
+		// executor, bit-identical to scratch.
 		{"dep4", RunOptions{Workers: 4, Sched: sched.DepDriven}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -72,10 +72,9 @@ type RunOptions struct {
 	// negative count uses GOMAXPROCS. Results and deterministic counters
 	// are identical at any count.
 	Workers int
-	// Sched is ignored. Each engine has exactly one parallel executor
-	// (the explorer the dependency-driven pipeline, the abstract engine
-	// leveled rounds — DESIGN.md §7), so there is nothing to select; the
-	// field stays only so existing callers keep compiling.
+	// Sched is ignored. Both engines run one parallel executor, the
+	// dependency-driven pipeline (DESIGN.md §7), so there is nothing to
+	// select; the field stays only so existing callers keep compiling.
 	Sched sched.Scheduler
 	// Pool is the shared scheduler pool multi-worker runs execute on;
 	// the caller keeps ownership. Nil lets each such run spin a private

@@ -25,58 +25,9 @@ func waitForGoroutineBaseline(t *testing.T, want int) {
 	}
 }
 
-// A context cancelled before the round starts stops DoContext before any
-// merge: the engines rely on "no merge after cancellation" to keep
-// partial results coherent.
-func TestDoContextPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 4} {
-		pool := NewPool(workers)
-		r := NewRounds[int](pool, Hooks{})
-		merges := 0
-		ok := r.DoContext(ctx, 64,
-			func(i int, s *int) { *s = i },
-			func(i int, s *int) bool { merges++; return true })
-		pool.Close()
-		if ok {
-			t.Errorf("workers=%d: DoContext returned true under a cancelled context", workers)
-		}
-		if merges != 0 {
-			t.Errorf("workers=%d: %d merges ran under a pre-cancelled context", workers, merges)
-		}
-	}
-}
-
-// Cancelling from inside a merge stops the round before the next merge,
-// exactly like a false-returning merge (the truncation cut).
-func TestDoContextCancelMidMerge(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		pool := NewPool(workers)
-		r := NewRounds[int](pool, Hooks{})
-		ctx, cancel := context.WithCancel(context.Background())
-		merges := 0
-		ok := r.DoContext(ctx, 64,
-			func(i int, s *int) { *s = i },
-			func(i int, s *int) bool {
-				merges++
-				if merges == 10 {
-					cancel()
-				}
-				return true
-			})
-		pool.Close()
-		cancel()
-		if ok {
-			t.Errorf("workers=%d: DoContext returned true after mid-merge cancel", workers)
-		}
-		if merges != 10 {
-			t.Errorf("workers=%d: merges=%d, want exactly 10 (stop before the next merge)", workers, merges)
-		}
-	}
-}
-
-// The dep-driven executor honors a pre-cancelled context the same way.
+// A pre-cancelled context stops the run before any merge: the engines
+// rely on "no merge after cancellation" to keep partial results
+// coherent.
 func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -231,22 +182,19 @@ func TestPoolCloseRacingDepRun(t *testing.T) {
 }
 
 // Runs issued after Close degrade to inline serial execution instead of
-// panicking on a closed channel — both executors.
+// panicking on a closed channel.
 func TestRunAfterCloseInline(t *testing.T) {
 	pool := NewPool(4)
 	pool.Close()
 
-	r := NewRounds[int](pool, Hooks{})
-	sum := 0
-	if !r.Do(16, func(i int, s *int) { *s = i }, func(i int, s *int) bool { sum += *s; return true }) {
-		t.Fatal("Rounds.Do on a closed pool returned false")
-	}
-	if sum != 120 {
-		t.Fatalf("Rounds.Do on a closed pool: sum=%d, want 120", sum)
+	var order []int
+	pool.Run(4, func(i int) { order = append(order, i) })
+	if len(order) != 4 || order[0] != 0 || order[3] != 3 {
+		t.Fatalf("Pool.Run on a closed pool ran %v, want [0 1 2 3] inline", order)
 	}
 
 	d := NewDepRounds[int, int](pool, DepHooks{})
-	sum = 0
+	sum := 0
 	ok := d.Run([]int{0, 1, 2, 3},
 		func(i int, p *int, s *int) { *s = *p + 1 },
 		func(i int, p *int, s *int, emit func(int)) bool { sum += *s; return true })
@@ -255,9 +203,9 @@ func TestRunAfterCloseInline(t *testing.T) {
 	}
 }
 
-// Many goroutines hammering Rounds on one pool while it closes: every
-// round still produces the full merge stream (degrading to inline once
-// the pool is gone), and the workers exit cleanly.
+// Many goroutines hammering dependency-driven runs on one pool while it
+// closes: every run still produces the full merge stream (degrading to
+// inline once the pool is gone), and the workers exit cleanly.
 func TestPoolCloseRacingRounds(t *testing.T) {
 	before := runtime.NumGoroutine()
 	pool := NewPool(4)
@@ -267,11 +215,13 @@ func TestPoolCloseRacingRounds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 50; k++ {
-				r := NewRounds[int](pool, Hooks{})
+				d := NewDepRounds[int, int](pool, DepHooks{})
 				sum := 0
-				r.Do(16, func(i int, s *int) { *s = i }, func(i int, s *int) bool { sum += *s; return true })
+				d.Run([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+					func(i int, p *int, s *int) { *s = *p },
+					func(i int, p *int, s *int, emit func(int)) bool { sum += *s; return true })
 				if sum != 120 {
-					t.Errorf("round racing Close: sum=%d, want 120", sum)
+					t.Errorf("run racing Close: sum=%d, want 120", sum)
 				}
 			}
 		}()

@@ -2,18 +2,20 @@ package sched
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
+	"runtime/debug"
 	"sync"
 )
 
-// Scheduler names the two deterministic parallel protocols this package
-// provides. No engine selects between them any more — the explorer runs
-// DepRounds and the abstract engine runs Rounds (DESIGN.md §7) — and
-// the type stays only because benchmark code still passes it through
-// pipeline.RunOptions.Sched, which is ignored.
+// Scheduler names the two parallel protocols the engines once chose
+// between. Both engines now run DepRounds and the leveled protocol is
+// gone (DESIGN.md §7); the type stays only because benchmark code still
+// passes it through pipeline.RunOptions.Sched, which is ignored.
 type Scheduler uint8
 
 const (
-	// Leveled is the fan-out/serial-merge rounds protocol (Rounds).
+	// Leveled named the deleted fan-out/serial-merge rounds protocol.
 	Leveled Scheduler = iota
 	// DepDriven is the dependency-driven pipelined protocol (DepRounds).
 	DepDriven
@@ -75,14 +77,48 @@ const (
 	depExpanded                  // slot filled
 )
 
-// depSegBits fixes the segment size of the task store: segments are
-// pointer-to-array so a task's address never moves when the store grows,
-// letting workers hold *depTask across lock releases.
+// The task store is a list of segments, and a segment never moves once
+// allocated, so workers can hold *depTask across lock releases. Segment
+// 0 holds depSeg0 tasks, each following segment doubles the capacity
+// before it until segments reach depSegMax tasks, and from then on every
+// segment holds depSegMax: a one-task run allocates one small segment,
+// and a long run still allocates a segment only every depSegMax tasks.
 const (
-	depSegBits = 8
-	depSegSize = 1 << depSegBits
-	depSegMask = depSegSize - 1
+	depSeg0Bits   = 3
+	depSegMaxBits = 8
+	depSegMax     = 1 << depSegMaxBits
+	// depSmallSegs is the number of growing segments before the first
+	// full one: together they hold the first depSegMax tasks.
+	depSmallSegs = depSegMaxBits - depSeg0Bits + 1
 )
+
+// depLocate maps task index i to its segment and the offset within it.
+func depLocate(i int) (seg, off int) {
+	switch {
+	case i < 1<<depSeg0Bits:
+		return 0, i
+	case i < depSegMax:
+		// Segment k >= 1 starts at 1<<(k+depSeg0Bits-1) and is as long
+		// as everything before it.
+		seg = bits.Len(uint(i)) - depSeg0Bits
+		return seg, i - 1<<(seg+depSeg0Bits-1)
+	default:
+		i -= depSegMax
+		return depSmallSegs + i>>depSegMaxBits, i & (depSegMax - 1)
+	}
+}
+
+// depSegLen is the capacity of segment seg.
+func depSegLen(seg int) int {
+	switch {
+	case seg == 0:
+		return 1 << depSeg0Bits
+	case seg < depSmallSegs:
+		return 1 << (seg + depSeg0Bits - 1)
+	default:
+		return depSegMax
+	}
+}
 
 type depTask[P, T any] struct {
 	p    P
@@ -90,12 +126,12 @@ type depTask[P, T any] struct {
 	st   depState
 }
 
-// DepRounds is the dependency-driven counterpart of Rounds: instead of
-// leveled fan-out/serial-merge rounds, it runs one pipelined task graph
-// whose dependency structure is the weak partial order of the serial
-// replay (after Kim, Venet & Thakur, "Deterministic Parallel Fixpoint
-// Computation"). Tasks are keyed by sequential discovery order — seeds
-// first, then everything emit publishes, in emit order — and
+// DepRounds is the deterministic parallel executor: it runs one
+// pipelined task graph whose dependency structure is the weak partial
+// order of the serial replay (after Kim, Venet & Thakur, "Deterministic
+// Parallel Fixpoint Computation"). Tasks are keyed by sequential
+// discovery order — seeds first, then everything emit publishes, in emit
+// order — and
 //
 //   - expansion of task i depends on nothing (any worker, any order,
 //     as soon as the task is published);
@@ -106,23 +142,23 @@ type depTask[P, T any] struct {
 // still expanding later tasks, and tasks emitted by a merge become
 // claimable immediately. The merged stream is exactly the sequential
 // visit order, so an engine whose merge callback replays its sequential
-// bookkeeping is bit-identical to its sequential form — the same
-// determinism contract as Rounds (workers write only their own task's
-// slot; merge is the only code touching shared engine state, always
-// from the caller's goroutine). An engine whose expansions must agree on
-// shared state (the explorer's claim table) makes that state
-// order-independent itself: by the time task i merges, every task
-// before it has expanded.
+// bookkeeping is bit-identical to its sequential form: workers write
+// only their own task's slot, and merge is the only code touching shared
+// engine state, always from the caller's goroutine. An engine whose
+// expansions read state the merge changes must make that safe itself:
+// the explorer's claim table is order-independent, and the abstract
+// engine publishes each joined state as a fresh configuration and
+// re-expands a task whose state grew after its expansion.
 //
 // The merger never depends on the pool: when the head task is still
 // unclaimed it expands it inline, so a Run completes even if every pool
 // worker is busy elsewhere (e.g. a shared pool running another engine),
-// and on the nil pool every stage runs inline on the caller's goroutine
-// in task order — the engine's sequential algorithm, with no goroutine
-// started.
-// The converse does not hold — a DepRounds run occupies its claimed
-// workers until the run finishes, so concurrent rounds on a shared pool
-// serialize behind it rather than interleave.
+// and on the nil pool every task is expanded right before its merge, on
+// the caller's goroutine — the engine's sequential algorithm, with no
+// goroutine started. A run keeps the workers it got until it finishes,
+// so a concurrent run on a shared pool gets them only then; until then
+// its merger works alone, and a run that ends before its workers arrive
+// returns without waiting for them.
 type DepRounds[P, T any] struct {
 	pool  *Pool
 	hooks DepHooks
@@ -137,30 +173,48 @@ func NewDepRounds[P, T any](pool *Pool, hooks DepHooks) *DepRounds[P, T] {
 // Pool returns the pool the executor schedules on (nil when inline).
 func (d *DepRounds[P, T]) Pool() *Pool { return d.pool }
 
+// A WorkerPanic is a panic raised by an expansion on a pool worker.
+// RunContext recovers it, stops the run, and once every worker has left
+// the run panics with it on its own caller's goroutine, so the caller's
+// recover sees the worker's value and stack and the pool stays usable.
+type WorkerPanic struct {
+	Value any
+	Stack []byte // the worker's stack at the panic
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("panic in pool worker: %v\n\n%s", p.Value, p.Stack)
+}
+
 // depRun is one Run's shared state. All fields are guarded by mu except
 // the cond vars' own queues; task payloads and slots are written outside
-// mu but every handoff (publish→claim, expand→own/merge) goes through a
+// mu but every handoff (publish→claim, expand→merge) goes through a
 // state transition under mu, which carries the happens-before edge.
 type depRun[P, T any] struct {
 	mu       sync.Mutex
 	moreWork sync.Cond // workers wait for published tasks or shutdown
 	headRdy  sync.Cond // merger waits for the head task to progress
-	segs     []*[depSegSize]depTask[P, T]
-	total    int  // published tasks
-	next     int  // lowest unclaimed index; [0,next) are claimed
-	finished bool // merger done (normal completion or early stop)
-	waitFor  int  // index the merger is blocked on; -1 when it is not
+	segs     [][]depTask[P, T]
+	total    int          // published tasks
+	next     int          // lowest unclaimed index; [0,next) are claimed
+	finished bool         // run over: merger done, or a worker panicked
+	panicked *WorkerPanic // the first worker panic, if any
+	waitFor  int          // index the merger is blocked on; -1 when it is not
 	nw       int
 	hooks    DepHooks
+	// inside counts the worker loops that entered the run; RunContext
+	// waits for them, and only for them, before it returns.
+	inside sync.WaitGroup
 }
 
 func (r *depRun[P, T]) task(i int) *depTask[P, T] {
-	return &r.segs[i>>depSegBits][i&depSegMask]
+	seg, off := depLocate(i)
+	return &r.segs[seg][off]
 }
 
 func (r *depRun[P, T]) publishLocked(p P) {
-	if r.total>>depSegBits == len(r.segs) {
-		r.segs = append(r.segs, new([depSegSize]depTask[P, T]))
+	if seg, _ := depLocate(r.total); seg == len(r.segs) {
+		r.segs = append(r.segs, make([]depTask[P, T], depSegLen(seg)))
 	}
 	t := r.task(r.total)
 	t.p = p
@@ -171,9 +225,32 @@ func (r *depRun[P, T]) publishLocked(p P) {
 
 // workerLoop is one pool worker's life for the whole run: claim a batch
 // of published tasks off the front of the order (FIFO, so the merger's
-// head is expanded early) and expand them.
+// head is expanded early) and expand them. A loop that a busy pool
+// starts only after the run has ended returns at once without touching
+// the engine. A panicking expansion ends the run: the worker records
+// the panic, wakes everyone, and returns to the pool.
 func (r *depRun[P, T]) workerLoop(expand func(i int, p *P, slot *T)) {
-	batch := make([]*depTask[P, T], 0, MaxGrain)
+	r.mu.Lock()
+	if r.finished {
+		r.mu.Unlock()
+		return
+	}
+	r.inside.Add(1)
+	r.mu.Unlock()
+	defer r.inside.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			r.mu.Lock()
+			if r.panicked == nil {
+				r.panicked = &WorkerPanic{Value: v, Stack: debug.Stack()}
+			}
+			r.finished = true
+			r.moreWork.Broadcast()
+			r.headRdy.Broadcast()
+			r.mu.Unlock()
+		}
+	}()
+	var buf [MaxGrain]*depTask[P, T]
 	for {
 		r.mu.Lock()
 		for r.next >= r.total && !r.finished {
@@ -187,11 +264,11 @@ func (r *depRun[P, T]) workerLoop(expand func(i int, p *P, slot *T)) {
 		g := DepGrainSize(backlog, r.nw)
 		lo := r.next
 		r.next += g
-		batch = batch[:0]
-		for i := lo; i < lo+g; i++ {
-			t := r.task(i)
+		batch := buf[:g]
+		for k := range batch {
+			t := r.task(lo + k)
 			t.st = depClaimed
-			batch = append(batch, t)
+			batch[k] = t
 		}
 		r.mu.Unlock()
 		if h := r.hooks.Ready; h != nil {
@@ -224,6 +301,10 @@ func (r *depRun[P, T]) workerLoop(expand func(i int, p *P, slot *T)) {
 // drained, and Run returns false after every worker has quiesced, so no
 // callback touches engine state after Run returns. Otherwise Run returns
 // true once every published task is merged.
+//
+// A panic in expand or merge ends the run the same way, and Run panics
+// only after the workers have quiesced: with the merger's own panic
+// value, or with a *WorkerPanic carrying a pool worker's.
 func (d *DepRounds[P, T]) Run(
 	seeds []P,
 	expand func(i int, p *P, slot *T),
@@ -246,7 +327,6 @@ func (d *DepRounds[P, T]) RunContext(
 	expand func(i int, p *P, slot *T),
 	merge func(i int, p *P, slot *T, emit func(P)) bool,
 ) bool {
-	done := ctx.Done()
 	r := &depRun[P, T]{nw: d.pool.Workers(), waitFor: -1, hooks: d.hooks}
 	r.moreWork.L = &r.mu
 	r.headRdy.L = &r.mu
@@ -256,15 +336,41 @@ func (d *DepRounds[P, T]) RunContext(
 	}
 	r.mu.Unlock()
 
-	var workersDone chan struct{}
 	if d.pool != nil {
-		workersDone = make(chan struct{})
-		go func() {
-			d.pool.Run(r.nw, func(int) { r.workerLoop(expand) })
-			close(workersDone)
-		}()
+		// The run does not wait for this goroutine: on a pool busy with
+		// other runs its loops may start only after the run has ended, and
+		// then return at once. It ends once every loop has run, and
+		// Pool.Close waits for it.
+		go d.pool.Run(r.nw, func(int) { r.workerLoop(expand) })
 	}
+	ok := func() bool {
+		// Whether the merge loop returns or panics, the run ends here:
+		// workers stop claiming, and no callback may outlive RunContext.
+		defer func() {
+			r.mu.Lock()
+			r.finished = true
+			r.moreWork.Broadcast()
+			r.mu.Unlock()
+			r.inside.Wait()
+		}()
+		return r.mergeLoop(ctx, d.pool != nil, expand, merge)
+	}()
+	if r.panicked != nil {
+		panic(r.panicked)
+	}
+	return ok
+}
 
+// mergeLoop is the merger: it merges tasks in order on the caller's
+// goroutine, expanding the head inline when no worker has claimed it,
+// and reports whether every published task was merged.
+func (r *depRun[P, T]) mergeLoop(
+	ctx context.Context,
+	pooled bool,
+	expand func(i int, p *P, slot *T),
+	merge func(i int, p *P, slot *T, emit func(P)) bool,
+) bool {
+	done := ctx.Done()
 	cancelled := func() bool {
 		if done == nil {
 			return false
@@ -276,7 +382,7 @@ func (d *DepRounds[P, T]) RunContext(
 			return false
 		}
 	}
-	if done != nil && d.pool != nil {
+	if done != nil && pooled {
 		// The merger may be asleep on headRdy when ctx fires; this watcher
 		// delivers the wakeup (on the nil pool it never sleeps: nothing
 		// but the merger itself ever holds the head). The broadcast runs
@@ -302,27 +408,24 @@ func (d *DepRounds[P, T]) RunContext(
 		r.mu.Unlock()
 	}
 
-	ok := true
-	head := 0
-	for {
+	for head := 0; ; {
 		if cancelled() {
-			ok = false
-			break
+			return false
 		}
 		r.mu.Lock()
 		if head >= r.total {
 			// total grows only through emit (this goroutine), so an empty
 			// remainder here is final.
 			r.mu.Unlock()
-			break
+			return true
 		}
-		stopped := false
+		t := r.task(head)
 		for {
-			if cancelled() {
-				stopped = true
-				break
+			if r.finished || cancelled() {
+				// A worker panicked, or ctx fired: merge nothing more.
+				r.mu.Unlock()
+				return false
 			}
-			t := r.task(head)
 			if t.st == depExpanded {
 				break
 			}
@@ -341,22 +444,15 @@ func (d *DepRounds[P, T]) RunContext(
 			// A worker holds the head; it will signal when the expansion
 			// finishes, and the ctx watcher broadcasts on cancellation.
 			r.waitFor = head
-			if h := d.hooks.MergeWait; h != nil {
+			if h := r.hooks.MergeWait; h != nil {
 				h()
 			}
 			r.headRdy.Wait()
 			r.waitFor = -1
 		}
-		if stopped {
-			r.mu.Unlock()
-			ok = false
-			break
-		}
-		t := r.task(head)
 		r.mu.Unlock()
 		if !merge(head, &t.p, &t.slot, emit) {
-			ok = false
-			break
+			return false
 		}
 		// The merged task is dead: no other goroutine will ever touch an
 		// index below next again, so release its payload and slot
@@ -365,19 +461,10 @@ func (d *DepRounds[P, T]) RunContext(
 		// a run retains only the segments spanning [head, total).
 		*t = depTask[P, T]{}
 		head++
-		if head&depSegMask == 0 {
+		if seg, off := depLocate(head); off == 0 {
 			r.mu.Lock()
-			r.segs[head>>depSegBits-1] = nil
+			r.segs[seg-1] = nil
 			r.mu.Unlock()
 		}
 	}
-
-	r.mu.Lock()
-	r.finished = true
-	r.moreWork.Broadcast()
-	r.mu.Unlock()
-	if workersDone != nil {
-		<-workersDone
-	}
-	return ok
 }

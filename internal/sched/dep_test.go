@@ -2,6 +2,7 @@ package sched
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -264,4 +265,157 @@ func TestDepGrainSize(t *testing.T) {
 			}
 		}
 	}
+}
+
+// depLocate must lay tasks out contiguously: segment by segment, each
+// offset inside its segment's capacity, with no index skipped or shared.
+func TestDepLocateContiguous(t *testing.T) {
+	seg, off := 0, 0
+	for i := 0; i < 5*depSegMax; i++ {
+		gs, goff := depLocate(i)
+		if gs != seg || goff != off {
+			t.Fatalf("depLocate(%d) = (%d,%d), want (%d,%d)", i, gs, goff, seg, off)
+		}
+		if off++; off == depSegLen(seg) {
+			seg, off = seg+1, 0
+		}
+	}
+	if depSegLen(0) >= depSegMax || depSegLen(depSmallSegs) != depSegMax {
+		t.Errorf("segment capacities %d..%d, want small first, depSegMax from segment %d on",
+			depSegLen(0), depSegLen(depSmallSegs), depSmallSegs)
+	}
+}
+
+// A one-task run is the abstract engine's common case on small
+// programs, so its fixed cost must stay small: the task store starts
+// with a small segment instead of a full depSegMax-task one.
+func TestDepRoundsOneTaskRunBytes(t *testing.T) {
+	type slot [14]int64 // 112 B, the size of an engine slot
+	dep := NewDepRounds[*int, slot](nil, DepHooks{})
+	seeds := []*int{new(int)}
+	run := func() {
+		dep.Run(seeds,
+			func(i int, p **int, s *slot) { s[0] = int64(**p) },
+			func(i int, p **int, s *slot, emit func(*int)) bool { return true })
+	}
+	run()
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("one-task run: %d B", per)
+	if per > 2048 {
+		t.Errorf("a one-task run allocates %d B, want <= 2048", per)
+	}
+}
+
+// A panicking expansion on a pool worker must not kill the process: the
+// run stops, RunContext re-panics on its caller with the worker's value
+// and stack once every worker has quiesced, and the pool stays usable.
+func TestDepRoundsWorkerPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	pool := NewPool(4)
+	dep := NewDepRounds[int, int](pool, DepHooks{})
+	seeds := make([]int, 64)
+	panicking := make(chan struct{})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		dep.Run(seeds,
+			func(i int, p *int, s *int) {
+				switch i {
+				case 0:
+					// Hold the merger's head until a worker has panicked, so
+					// the panicking task can only be a worker's.
+					<-panicking
+				case 40:
+					close(panicking)
+					panic("boom")
+				}
+			},
+			func(i int, p *int, s *int, emit func(int)) bool { return true })
+		return nil
+	}()
+	wp, ok := got.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("Run panicked with %#v, want a *WorkerPanic", got)
+	}
+	if wp.Value != "boom" || !strings.Contains(string(wp.Stack), "TestDepRoundsWorkerPanic") {
+		t.Errorf("WorkerPanic = %v with stack\n%s\nwant the worker's value and stack", wp.Value, wp.Stack)
+	}
+
+	// A panic in the merger's own callbacks ends the run the same way.
+	got = func() (v any) {
+		defer func() { v = recover() }()
+		dep.Run(seeds,
+			func(i int, p *int, s *int) {},
+			func(i int, p *int, s *int, emit func(int)) bool {
+				if i == 5 {
+					panic("merge boom")
+				}
+				return true
+			})
+		return nil
+	}()
+	if got != "merge boom" {
+		t.Errorf("Run panicked with %#v, want the merge's own value", got)
+	}
+
+	sum := 0
+	ok = dep.Run([]int{1, 2, 3},
+		func(i int, p *int, s *int) { *s = *p },
+		func(i int, p *int, s *int, emit func(int)) bool { sum += *s; return true })
+	if !ok || sum != 6 {
+		t.Errorf("run after panics: ok=%v sum=%d, want true/6", ok, sum)
+	}
+	pool.Close()
+	waitForGoroutines(t, before)
+}
+
+// A run must not wait for pool workers it never got: when another run
+// holds every worker, the second run's merger does all of its work
+// inline and returns, while its worker loops are still queued behind
+// the first run.
+func TestDepRoundsDoesNotWaitForBusyPool(t *testing.T) {
+	before := runtime.NumGoroutine()
+	pool := NewPool(2)
+	gate := make(chan struct{})
+	var started atomic.Int32
+	first := make(chan bool, 1)
+	go func() {
+		dep := NewDepRounds[int, int](pool, DepHooks{})
+		first <- dep.Run(make([]int, 64),
+			func(i int, p *int, s *int) { started.Add(1); <-gate },
+			func(i int, p *int, s *int, emit func(int)) bool { return true })
+	}()
+	// Both workers and the first run's merger are held at the gate.
+	for started.Load() < 3 {
+		runtime.Gosched()
+	}
+	second := make(chan int, 1)
+	go func() {
+		dep := NewDepRounds[int, int](pool, DepHooks{})
+		sum := 0
+		dep.Run([]int{1, 2, 3, 4},
+			func(i int, p *int, s *int) { *s = *p },
+			func(i int, p *int, s *int, emit func(int)) bool { sum += *s; return true })
+		second <- sum
+	}()
+	select {
+	case sum := <-second:
+		if sum != 10 {
+			t.Errorf("second run merged sum %d, want 10", sum)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("second run waited for workers held by another run")
+	}
+	close(gate)
+	if ok := <-first; !ok {
+		t.Error("first run did not complete")
+	}
+	pool.Close()
+	waitForGoroutines(t, before)
 }

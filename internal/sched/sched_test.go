@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// The grain heuristic's edge cases, pinned: empty rounds, rounds
+// The grain heuristic's edge cases, pinned: empty backlogs, backlogs
 // narrower than the worker count, the clamp boundaries, and degenerate
 // worker counts.
 func TestGrainSize(t *testing.T) {
@@ -38,8 +38,8 @@ func TestGrainSize(t *testing.T) {
 	}
 }
 
-// More workers than grains must degrade gracefully: the participant
-// count is capped at the grain count, and a 1-grain round runs inline.
+// Run calls f exactly once per index, whether the calls outnumber the
+// workers or not.
 func TestRunCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 7} {
 		pool := NewPool(workers)
@@ -57,15 +57,16 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 }
 
 // A nil pool is the inline-serial runtime: every index runs, in order,
-// on the caller's goroutine, with zero steals.
+// on the caller's goroutine.
 func TestNilPoolRunsInline(t *testing.T) {
 	var p *Pool
 	if p.Workers() != 1 {
 		t.Errorf("nil pool Workers() = %d, want 1", p.Workers())
 	}
 	var order []int
-	if s := p.Run(5, func(i int) { order = append(order, i) }); s != 0 {
-		t.Errorf("nil pool reported %d steals", s)
+	p.Run(5, func(i int) { order = append(order, i) })
+	if len(order) != 5 {
+		t.Fatalf("nil pool ran %d of 5 indexes", len(order))
 	}
 	for i, v := range order {
 		if v != i {
@@ -96,7 +97,7 @@ func TestForWorkers(t *testing.T) {
 	p.Close()
 }
 
-// The pool must be reusable across many rounds without respawning
+// The pool must be reusable across many Runs without respawning
 // workers, and Close must reap every goroutine it started.
 func TestPoolReuseAndNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -115,24 +116,6 @@ func TestPoolReuseAndNoGoroutineLeak(t *testing.T) {
 		t.Errorf("rounds ran %d items, want %d", total.Load(), want)
 	}
 	waitForGoroutines(t, before)
-}
-
-// A skewed round must spread across workers: with one grain per item and
-// all the cost in a few items, the steal cursor hands idle workers the
-// leftovers. We only assert liveness (the round finishes promptly) and
-// that the steal count stays within the number of grains.
-func TestRunStealsBounded(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	n := 64
-	steals := pool.Run(n, func(i int) {
-		if i == 0 {
-			time.Sleep(time.Millisecond)
-		}
-	})
-	if steals < 0 || steals > int64(n) {
-		t.Errorf("steal count %d out of range [0,%d]", steals, n)
-	}
 }
 
 // waitForGoroutines retries the NumGoroutine comparison briefly: worker

@@ -357,9 +357,12 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if f.panicked != nil {
+	if p := f.panicked; p != nil {
+		if wp, ok := p.(*sched.WorkerPanic); ok {
+			p = wp.Value // the client gets the value, not the worker's stack
+		}
 		writeJSON(w, http.StatusInternalServerError,
-			Response{Analysis: req.Analysis, Error: fmt.Sprint("analysis panicked: ", f.panicked)})
+			Response{Analysis: req.Analysis, Error: fmt.Sprint("analysis panicked: ", p)})
 		return
 	}
 	resp := render(job, f.res)
