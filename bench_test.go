@@ -79,7 +79,7 @@ func BenchmarkPhilosophers(b *testing.B) { // E4
 		prog := workloads.Philosophers(5)
 		pool := sched.NewPool(2)
 		defer pool.Close()
-		ro := pipeline.RunOptions{Reduction: explore.Full, MaxConfigs: 1 << 22, Workers: 2, Pool: pool}
+		ro := pipeline.RunOptions{Reduction: explore.Full, MaxConfigs: 1 << 22, Pool: pool}
 		for i := 0; i < b.N; i++ {
 			col := analysis.NewCollector(prog)
 			res := pipeline.Explore(prog, ro, pipeline.NamedSink{Name: "collector", Sink: col})
@@ -298,14 +298,18 @@ func BenchmarkAbstractInterpret(b *testing.B) {
 // BenchmarkAbstractParallel sweeps the abstract fixpoint engine's
 // dependency-driven executor over worker counts on the heaviest abstract
 // reference workload (workers-n1 runs it inline, so it is the
-// baseline). Results are bit-identical at every worker count, so
-// benchstat comparisons isolate pure scheduling cost/benefit.
+// baseline). Each sub-benchmark builds its pool once, outside the timed
+// loop. Results are bit-identical at every worker count, so benchstat
+// comparisons isolate pure scheduling cost/benefit.
 func BenchmarkAbstractParallel(b *testing.B) {
 	prog := workloads.Philosophers(5)
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		b.Run(benchName("workers", workers), func(b *testing.B) {
+			pool := sched.ForWorkers(workers)
+			defer pool.Close()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := abssem.Analyze(prog, abssem.Options{Domain: absdom.IntervalDomain{}, Workers: workers})
+				res := abssem.Analyze(prog, abssem.Options{Domain: absdom.IntervalDomain{}, Pool: pool})
 				b.ReportMetric(float64(res.States), "states")
 			}
 		})
@@ -524,14 +528,18 @@ func BenchmarkExplore(b *testing.B) {
 
 // BenchmarkParallelExploration sweeps the concrete explorer's
 // dependency-driven pipeline over worker counts (workers-n1 runs it
-// inline, so it is the baseline).
+// inline, so it is the baseline). Each sub-benchmark builds its pool
+// once, outside the timed loop.
 func BenchmarkParallelExploration(b *testing.B) {
 	prog := workloads.Philosophers(5)
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		b.Run(benchName("workers", workers), func(b *testing.B) {
+			pool := sched.ForWorkers(workers)
+			defer pool.Close()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res := explore.Explore(prog, explore.Options{
-					Reduction: explore.Full, Workers: workers, MaxConfigs: 1 << 22})
+					Reduction: explore.Full, Pool: pool, MaxConfigs: 1 << 22})
 				b.ReportMetric(float64(res.States), "states")
 			}
 		})

@@ -1,7 +1,11 @@
 // Command explore generates the reachable configuration space of a
 // cobegin program and prints state/edge statistics, terminal outcomes,
-// and (optionally) every terminal configuration — the tooling behind the
-// paper's Figures 3 and 5.
+// and (optionally, sorted by canonical key) every terminal configuration
+// — the tooling behind the paper's Figures 3 and 5.
+//
+// -workers n runs every exploration of the invocation on one pool of n
+// workers (sched.ForWorkers: 0/1 inline, negative GOMAXPROCS); the
+// output is identical at any count.
 //
 // Usage:
 //
@@ -32,6 +36,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime/trace"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -55,10 +60,10 @@ func cliMain() (code int) {
 		coarsen    = flag.Bool("coarsen", false, "virtually coarsen non-critical runs")
 		gran       = flag.String("granularity", "ref", "transition granularity: ref (paper model) or stmt")
 		max        = flag.Int("max", 1<<20, "configuration cap")
-		workers    = flag.Int("workers", 1, "explorer goroutines (>1 runs the dependency-driven parallel pipeline, <0 GOMAXPROCS); results are identical at any count")
+		workers    = flag.Int("workers", 1, "size of the worker pool the explorer runs on (0/1 inline, <0 GOMAXPROCS); results are identical at any count")
 		exactKeys  = flag.Bool("exact-keys", false, "store full canonical keys in the visited set instead of 128-bit fingerprints (more memory, zero collision risk)")
 		outcomes   = flag.String("outcomes", "", "comma-separated globals: print the terminal outcome set")
-		terminals  = flag.Bool("terminals", false, "print every terminal configuration")
+		terminals  = flag.Bool("terminals", false, "print every terminal configuration, sorted by canonical key")
 		compare    = flag.Bool("compare", false, "run all reduction combinations and compare")
 		dot        = flag.String("dot", "", "write the configuration graph to this Graphviz file")
 		divergence = flag.Bool("divergence", false, "report configurations from which no terminal is reachable (infinite waits)")
@@ -109,8 +114,8 @@ func cliMain() (code int) {
 		}()
 	}
 
-	// One worker pool serves every exploration of the invocation (nil —
-	// and ignored by the engine — for sequential worker counts).
+	// One worker pool serves every exploration of the invocation (nil, so
+	// every run goes inline, for worker counts 0 and 1).
 	pool := sched.ForWorkers(*workers)
 	defer pool.Close()
 
@@ -140,7 +145,6 @@ func cliMain() (code int) {
 
 	// One run configuration spans every exploration of the invocation.
 	a.Configure(core.RunOptions{
-		Workers:    *workers,
 		Pool:       pool,
 		MaxConfigs: *max,
 		ExactKeys:  *exactKeys,
@@ -263,7 +267,13 @@ func cliMain() (code int) {
 	}
 
 	if *terminals {
-		for k, c := range res.Terminals {
+		keys := make([]sem.Key, 0, len(res.Terminals))
+		for k := range res.Terminals {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			c := res.Terminals[k]
 			if c.Err != "" {
 				fmt.Printf("terminal ERROR: %s\n", c.Err)
 				continue

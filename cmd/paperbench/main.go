@@ -8,7 +8,7 @@
 // enabled and exits non-zero if any state/edge/terminal/visit count
 // diverges from its recorded expectation, or if an abstract run
 // truncates — the regression gate CI's bench job enforces. -workers N
-// threads one shared RunOptions (worker count + one sched.Pool) through
+// threads one shared RunOptions (one sched.Pool of N workers) through
 // every experiment and both verification sweeps; every recorded count
 // must match at any worker count.
 //
@@ -66,16 +66,16 @@ func main() {
 	only := flag.String("only", "", "run a single experiment by ID (e.g. E4)")
 	verify := flag.Bool("verify", true, "check reference workloads against recorded state counts; exit 1 on divergence")
 	exactKeys := flag.Bool("exact-keys", false, "verify the reference workloads with full canonical keys instead of the default 128-bit fingerprints")
-	workers := flag.Int("workers", 0, "worker goroutines for every experiment and verification run (0/1 sequential, <0 GOMAXPROCS); recorded counts must hold at any count")
+	workers := flag.Int("workers", 0, "size of the one worker pool every experiment and verification run uses (0/1 inline, <0 GOMAXPROCS); recorded counts must hold at any count")
 	jsonOut := flag.String("json", "", "write a machine-readable report (experiments + per-workload metrics rows) to this file")
 	flag.Parse()
 
 	// One run configuration — and one worker pool — spans every
-	// experiment and verification run of the invocation (nil pool, ignored
-	// by the engines, for sequential requests).
+	// experiment and verification run of the invocation (nil pool, so
+	// every run goes inline, for sequential requests).
 	pool := sched.ForWorkers(*workers)
 	defer pool.Close()
-	ro := pipeline.RunOptions{Workers: *workers, Pool: pool, ExactKeys: *exactKeys}
+	ro := pipeline.RunOptions{Pool: pool, ExactKeys: *exactKeys}
 
 	// An interrupt stops at the next experiment boundary; the tables
 	// printed so far stand, the verification gate is skipped (its result

@@ -22,9 +22,9 @@
 //	psa -metrics-json out.json prog.cb
 //
 // -workers N runs both the concrete explorer and the abstract fixpoint
-// engine with N worker goroutines (0/1 sequential, negative GOMAXPROCS);
-// every reported number is identical at any worker count. Both engines
-// run in parallel on the same dependency-driven pipeline.
+// engine on one pool of N worker goroutines (0/1 inline, negative
+// GOMAXPROCS); every reported number is identical at any worker count.
+// Both engines run on the same dependency-driven pipeline.
 //
 // Observability: -metrics prints an engine-counter report (states
 // generated/deduped per BFS level, stubborn-set decisions, widening and
@@ -75,7 +75,7 @@ func cliMain() (code int) {
 		unreachable = flag.Bool("unreachable", false, "report statements no execution can reach")
 		invariants  = flag.String("invariants", "", "label: print the abstract value of every global at that statement")
 		report      = flag.Bool("report", false, "print a full markdown analysis report")
-		workers     = flag.Int("workers", 0, "worker goroutines for the concrete explorer and the abstract fixpoint (0/1 sequential, <0 GOMAXPROCS); results are identical at any count")
+		workers     = flag.Int("workers", 0, "size of the worker pool the concrete explorer and the abstract fixpoint share (0/1 inline, <0 GOMAXPROCS); results are identical at any count")
 		showMetrics = flag.Bool("metrics", false, "print the engine metrics report after the analyses")
 		metricsJSON = flag.String("metrics-json", "", "write the engine metrics snapshot as JSON to this file")
 		progress    = flag.Duration("progress", 0, "print a progress line to stderr at this interval (e.g. 2s)")
@@ -97,8 +97,8 @@ func cliMain() (code int) {
 		return
 	}
 
-	// One worker pool spans every parallel engine run of the invocation
-	// (nil — and ignored by the engines — for sequential worker counts).
+	// One worker pool spans every engine run of the invocation (nil, so
+	// every run goes inline, for worker counts 0 and 1).
 	pool := sched.ForWorkers(*workers)
 	defer pool.Close()
 
@@ -131,7 +131,7 @@ func cliMain() (code int) {
 	// Collect-backed queries (dependences, anomalies, placements, ...)
 	// fuse into one instrumented exploration, and the abstract runs
 	// inherit the same pool and registry.
-	a.Configure(core.RunOptions{Workers: *workers, Pool: pool, Metrics: reg})
+	a.Configure(core.RunOptions{Pool: pool, Metrics: reg})
 
 	ran := false
 

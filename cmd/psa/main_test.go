@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -149,6 +150,32 @@ func TestExploreCLI(t *testing.T) {
 	out = run(t, bin, "-divergence", prog)
 	if !strings.Contains(out, "divergent") && !strings.Contains(out, "no divergent") {
 		t.Errorf("-divergence output:\n%s", out)
+	}
+
+	// -terminals prints one line per terminal, sorted by key, so the
+	// output is the same on every run. Three arms racing on g end in 15
+	// distinct terminals.
+	racy := filepath.Join(dir, "racy.cb")
+	src := `
+var g;
+func main() {
+  cobegin { g = g * 10 + 1; } || { g = g * 10 + 2; } || { g = g * 10 + 3; } coend
+}
+`
+	if err := os.WriteFile(racy, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(run(t, bin, "-terminals", racy), "\n") {
+		if strings.HasPrefix(line, "terminal") {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != 15 {
+		t.Fatalf("-terminals printed %d terminal lines, want 15:\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	if !sort.StringsAreSorted(lines) {
+		t.Errorf("-terminals lines not sorted:\n%s", strings.Join(lines, "\n"))
 	}
 }
 

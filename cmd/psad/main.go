@@ -7,7 +7,7 @@
 //	psad [flags]
 //
 //	  -addr :8723     listen address
-//	  -workers N      worker goroutines per run (0/1 sequential, <0 GOMAXPROCS)
+//	  -workers N      size of the shared worker pool (0/1 inline, <0 GOMAXPROCS)
 //	  -drain 10s      graceful-shutdown drain budget
 //	  -max-body N     request body cap in bytes
 //	  -cache-max N    result cache bound (LRU; <0 unbounded)
@@ -27,7 +27,7 @@
 // bounded by -cache-max with least-recently-used eviction (cache_hits
 // and cache_evictions in /metrics). A hit replays the stored run's
 // deterministic engine counters, so responses and counters stay
-// bit-identical to cold runs. Worker count is server-side
+// bit-identical to cold runs. The pool is server-side
 // configuration: by the engines' determinism contract it never changes
 // results, so responses are bit-identical to cmd/psa's summaries for
 // the same program and options at any -workers setting. A run that
@@ -77,7 +77,7 @@ func newServer(h http.Handler) *http.Server {
 func run() int {
 	var (
 		addr     = flag.String("addr", ":8723", "listen address")
-		workers  = flag.Int("workers", 0, "worker goroutines per analysis run (0/1 sequential, <0 GOMAXPROCS); results are identical at any count")
+		workers  = flag.Int("workers", 0, "size of the worker pool every analysis run shares (0/1 inline, <0 GOMAXPROCS); results are identical at any count")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget before in-flight runs are cancelled")
 		maxBody  = flag.Int64("max-body", 1<<20, "request body cap in bytes")
 		cacheMax = flag.Int("cache-max", 1024, "max results cached (LRU eviction; negative = unbounded)")

@@ -8,9 +8,9 @@ package main
 //
 //   - from scratch: pipeline.Analyze with a fresh metrics registry;
 //   - incrementally: three pipeline.Incremental sessions (one-entry
-//     result caches) — one per worker count in {0, 1, 4} — each fed the
-//     whole chain in order, so a session answers from the cache when an
-//     edit is α-neutral and runs the plain fixpoint otherwise.
+//     result caches) — one per pool, of 0, 1, and 4 workers — each fed
+//     the whole chain in order, so a session answers from the cache when
+//     an edit is α-neutral and runs the plain fixpoint otherwise.
 //
 // The oracle demands Result.Digest equality AND deterministic-counter
 // equality at every step of every session: incremental re-analysis must
@@ -50,23 +50,23 @@ func editChain(src string, seed int64, n int) (versions, descs []string, err err
 	return versions, descs, nil
 }
 
-// editChainDiff replays versions through the three incremental sessions
+// editChainDiff replays versions through one incremental session per pool
 // and compares each step against a from-scratch analysis. It returns
 // ("", false) when every step of every session is bit-identical to
 // scratch, (detail, false) on the first divergence, and (_, true) when
 // some version's scratch run truncates (no verdict).
-func editChainDiff(versions []string, ro pipeline.RunOptions) (detail string, truncated bool) {
+func editChainDiff(versions []string, ro pipeline.RunOptions, pools []widthPool) (detail string, truncated bool) {
 	type session struct {
 		name string
 		ro   pipeline.RunOptions
 		inc  *pipeline.Incremental
 	}
 	var sessions []*session
-	for _, w := range []int{0, 1, 4} {
+	for _, wp := range pools {
 		roW := ro
-		roW.Workers = w
+		roW.Pool = wp.pool
 		sessions = append(sessions, &session{
-			name: fmt.Sprintf("workers=%d", w),
+			name: fmt.Sprintf("workers=%d", wp.workers),
 			ro:   roW,
 			inc:  pipeline.NewIncremental(roW, nil),
 		})
@@ -100,7 +100,7 @@ func editChainDiff(versions []string, ro pipeline.RunOptions) (detail string, tr
 }
 
 // runEditsOracle evaluates oracle 5 on one seed's edit chain.
-func runEditsOracle(src string, seed int64, nEdits, maxConfigs int) (skipped bool, checked []string, failures []failure) {
+func runEditsOracle(src string, seed int64, nEdits, maxConfigs int, pools []widthPool) (skipped bool, checked []string, failures []failure) {
 	ro := pipeline.RunOptions{MaxConfigs: maxConfigs}
 	versions, descs, err := editChain(src, seed, nEdits)
 	if err != nil {
@@ -110,7 +110,7 @@ func runEditsOracle(src string, seed int64, nEdits, maxConfigs int) (skipped boo
 		fmt.Fprintf(os.Stderr, "psasoak: %v\n", err)
 		os.Exit(2)
 	}
-	detail, truncated := editChainDiff(versions, ro)
+	detail, truncated := editChainDiff(versions, ro, pools)
 	if truncated {
 		return true, nil, nil
 	}
@@ -119,7 +119,7 @@ func runEditsOracle(src string, seed int64, nEdits, maxConfigs int) (skipped boo
 		failures = append(failures, failure{
 			oracle: "edits",
 			detail: fmt.Sprintf("%s (edit chain: %s)", detail, strings.Join(descs, "; ")),
-			pred:   editsPred(seed, nEdits, ro),
+			pred:   editsPred(seed, nEdits, ro, pools),
 		})
 	}
 	return false, checked, failures
@@ -129,13 +129,13 @@ func runEditsOracle(src string, seed int64, nEdits, maxConfigs int) (skipped boo
 // program by rebuilding the edit chain from the same per-step seeds
 // (Mutate is deterministic in (source, seed), so the shrunk reproducer
 // stays a failing chain, not just a failing base).
-func editsPred(seed int64, nEdits int, ro pipeline.RunOptions) func(*lang.Program) bool {
+func editsPred(seed int64, nEdits int, ro pipeline.RunOptions, pools []widthPool) func(*lang.Program) bool {
 	return func(p *lang.Program) bool {
 		versions, _, err := editChain(lang.Format(p), seed, nEdits)
 		if err != nil {
 			return false
 		}
-		detail, truncated := editChainDiff(versions, ro)
+		detail, truncated := editChainDiff(versions, ro, pools)
 		return !truncated && detail != ""
 	}
 }

@@ -6,8 +6,9 @@
 //     exploration is covered by the abstract invariants;
 //  2. reduction: stubborn-set reduction and virtual coarsening preserve
 //     the terminal store set of full exploration;
-//  3. parallel: both engines report bit-identical results at 1, 4, and
-//     GOMAXPROCS workers;
+//  3. parallel: both engines report bit-identical results on pools of
+//     1, 4, and GOMAXPROCS workers (sched.ForWorkers; width 1 is
+//     inline);
 //  4. fingerprint: the 128-bit fingerprinted visited set and the exact
 //     canonical-key visited set agree on state counts and terminals.
 //
@@ -15,8 +16,9 @@
 // each seed's program becomes the base of an N-step random edit chain
 // (progen.Mutate), and every version is checked for bit-identity —
 // Result digest and deterministic counters — between from-scratch
-// analysis and three persistent incremental sessions (workers 0/1/4)
-// that each carry their previous result across the chain.
+// analysis and three persistent incremental sessions (on pools of
+// 0/1/4 workers) that each carry their previous result across the
+// chain.
 //
 // Programs whose exploration hits the configuration cap are skipped (the
 // oracles need complete answers). On divergence the failing program is
@@ -50,6 +52,7 @@ import (
 	"psa/internal/lang"
 	"psa/internal/pipeline"
 	"psa/internal/progen"
+	"psa/internal/sched"
 	"psa/internal/sem"
 )
 
@@ -88,6 +91,23 @@ type failure struct {
 
 var oracleNames = []string{"soundness", "reduction", "parallel", "fingerprint"}
 
+// widthPool pairs a worker count an oracle checks with the pool
+// sched.ForWorkers maps it to (nil, so inline, for 0 and 1). The pools
+// live for the whole run, so the shrinker's predicates replay a
+// divergence on the same pool that showed it.
+type widthPool struct {
+	workers int
+	pool    *sched.Pool
+}
+
+func widthPools(widths ...int) []widthPool {
+	out := make([]widthPool, len(widths))
+	for i, w := range widths {
+		out[i] = widthPool{w, sched.ForWorkers(w)}
+	}
+	return out
+}
+
 func main() {
 	var (
 		seed         = flag.Int64("seed", 1, "base seed; program i uses seed+i")
@@ -118,8 +138,10 @@ func main() {
 
 	start := time.Now()
 	names := oracleNames
+	pools := widthPools(1, 4, -1)
 	if *edits > 0 {
 		names = []string{"edits"}
+		pools = widthPools(0, 1, 4)
 	}
 	rep := &report{
 		BaseSeed:  *seed,
@@ -153,9 +175,9 @@ func main() {
 		var checked []string
 		var failures []failure
 		if *edits > 0 {
-			skipped, checked, failures = runEditsOracle(src, s, *edits, *maxConfigs)
+			skipped, checked, failures = runEditsOracle(src, s, *edits, *maxConfigs, pools)
 		} else {
-			skipped, checked, failures = runOracles(prog, *maxConfigs, *injectUns)
+			skipped, checked, failures = runOracles(prog, *maxConfigs, *injectUns, pools)
 		}
 		rep.Ran++
 		if skipped {
@@ -221,8 +243,9 @@ func main() {
 
 // runOracles runs all four oracles on one program. skipped means some
 // baseline run hit the configuration cap, so no oracle was evaluated;
-// checked lists the oracles that ran to completion.
-func runOracles(prog *lang.Program, maxConfigs int, injectUnsound bool) (skipped bool, checked []string, failures []failure) {
+// checked lists the oracles that ran to completion; oracle 3 runs on
+// each of pools.
+func runOracles(prog *lang.Program, maxConfigs int, injectUnsound bool, pools []widthPool) (skipped bool, checked []string, failures []failure) {
 	ro := pipeline.RunOptions{MaxConfigs: maxConfigs}
 	full := pipeline.Explore(prog, ro)
 	abs := pipeline.Analyze(prog, ro, nil)
@@ -263,23 +286,23 @@ func runOracles(prog *lang.Program, maxConfigs int, injectUnsound bool) (skipped
 
 	// Oracle 3: parallel-vs-inline bit-identity for both engines.
 	checked = append(checked, "parallel")
-	for _, w := range []int{1, 4, -1} {
+	for _, wp := range pools {
 		roW := ro
-		roW.Workers = w
+		roW.Pool = wp.pool
 		par := pipeline.Explore(prog, roW)
 		if d := concreteDiff(full, par); d != "" {
 			failures = append(failures, failure{
 				oracle: "parallel",
-				detail: fmt.Sprintf("concrete engine at workers=%d: %s", w, d),
-				pred:   parallelConcretePred(ro, w),
+				detail: fmt.Sprintf("concrete engine at workers=%d: %s", wp.workers, d),
+				pred:   parallelConcretePred(ro, wp.pool),
 			})
 		}
 		parAbs := pipeline.Analyze(prog, roW, nil)
 		if d := abstractDiff(abs, parAbs); d != "" {
 			failures = append(failures, failure{
 				oracle: "parallel",
-				detail: fmt.Sprintf("abstract engine at workers=%d: %s", w, d),
-				pred:   parallelAbstractPred(ro, w),
+				detail: fmt.Sprintf("abstract engine at workers=%d: %s", wp.workers, d),
+				pred:   parallelAbstractPred(ro, wp.pool),
 			})
 		}
 	}
@@ -368,11 +391,11 @@ func reductionPred(alt, base pipeline.RunOptions) func(*lang.Program) bool {
 	}
 }
 
-func parallelConcretePred(base pipeline.RunOptions, workers int) func(*lang.Program) bool {
+func parallelConcretePred(base pipeline.RunOptions, pool *sched.Pool) func(*lang.Program) bool {
 	return func(p *lang.Program) bool {
 		seq := pipeline.Explore(p, base)
 		roW := base
-		roW.Workers = workers
+		roW.Pool = pool
 		par := pipeline.Explore(p, roW)
 		if seq.Truncated {
 			return false
@@ -381,11 +404,11 @@ func parallelConcretePred(base pipeline.RunOptions, workers int) func(*lang.Prog
 	}
 }
 
-func parallelAbstractPred(base pipeline.RunOptions, workers int) func(*lang.Program) bool {
+func parallelAbstractPred(base pipeline.RunOptions, pool *sched.Pool) func(*lang.Program) bool {
 	return func(p *lang.Program) bool {
 		seq := pipeline.Analyze(p, base, nil)
 		roW := base
-		roW.Workers = workers
+		roW.Pool = pool
 		par := pipeline.Analyze(p, roW, nil)
 		if seq.Truncated {
 			return false

@@ -18,10 +18,11 @@
 // evaluation (see EXPERIMENTS.md).
 //
 // Both engines are deterministically parallel on one shared runtime,
-// internal/sched: a persistent worker pool (explore/abssem
-// Options.Workers size a private one; Options.Pool shares one across
-// engine calls, as the CLIs do) fans expensive per-state work out while
-// a serial in-order merge owns all order-sensitive bookkeeping — dedup
+// internal/sched: a persistent worker pool (Options.Pool of either
+// engine, the only execution setting; nil runs inline, and the CLIs
+// share one pool across engine calls) fans expensive per-state work
+// out while a serial in-order merge owns all order-sensitive
+// bookkeeping — dedup
 // and frontier order in the explorer; joins, widening decisions, and
 // worklist order in the abstract interpreter — so every result and
 // every deterministic metric is bit-identical at any worker count

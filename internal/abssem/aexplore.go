@@ -19,8 +19,7 @@ import (
 // documented default (so Options{} works), and a NEGATIVE value is the
 // explicit request for the boundary value 0, which zero-value defaulting
 // would otherwise make unreachable. Package explore's Options follow the
-// same audit: there, too, 0 means "default" everywhere, and the only
-// meaningful boundary (Workers) already has explicit negative semantics.
+// same audit: there, too, 0 means "default" everywhere.
 type Options struct {
 	// Domain is the numeric abstract domain (default absdom.ConstDomain).
 	Domain absdom.NumDomain
@@ -44,19 +43,15 @@ type Options struct {
 	// widening kicks in (default 4). Negative requests 0: widening on the
 	// first rejoin, the fastest-converging (coarsest) iteration strategy.
 	WidenAfter int
-	// Workers is the number of goroutines expanding worklist entries
-	// (see aparallel.go): 0 or 1 runs the worklist inline on the
-	// caller's goroutine, a negative count uses GOMAXPROCS. Every Result
-	// field and every deterministic metrics counter is bit-identical at
-	// any worker count: joins, widening decisions, dedup, and queue
-	// order stay in the serial merge.
-	Workers int
-	// Pool, when non-nil, is the shared scheduler pool (internal/sched)
-	// the parallel fixpoint runs on: its worker count governs
-	// scheduling, the caller keeps ownership (Analyze never closes it),
-	// and consecutive Explore/Analyze calls may reuse it to amortize
-	// worker startup. Nil makes each multi-worker run create a private
-	// pool sized by Workers. Ignored when Workers is 0 or 1.
+	// Pool is the scheduler pool (internal/sched) the fixpoint runs on,
+	// and the only execution setting: nil runs the worklist (see
+	// aparallel.go) inline on the caller's goroutine, a non-nil pool
+	// expands worklist entries on that pool's workers. The caller keeps
+	// ownership (Analyze never closes it), and consecutive
+	// Explore/Analyze calls may share it. Every Result field and every
+	// deterministic metrics counter is bit-identical on every pool:
+	// joins, widening decisions, dedup, and queue order stay in the
+	// serial merge.
 	Pool *sched.Pool
 	// CollectFootprints records per-statement abstract access footprints
 	// (Result.FootprintOf / Conflicts) — the §5.2 dependences computed
@@ -94,8 +89,8 @@ func (o *Options) fill() {
 // Analyze will actually run with: 0 becomes the documented default,
 // negative becomes the boundary 0, and a nil Domain becomes ConstDomain.
 // Two Options values that normalize equal configure identical analyses
-// (up to the execution-only fields Workers, Pool, and Metrics,
-// which never change results) — the property the pipeline layer's
+// (up to the execution-only fields Pool and Metrics, which never
+// change results) — the property the pipeline layer's
 // options-keyed result cache relies on.
 func (o Options) Normalized() Options {
 	o.fill()

@@ -38,9 +38,9 @@ import (
 // task, and every join on the nil pool, go in place: no expansion can
 // be reading the configuration then.
 //
-// At 0 or 1 workers the executor runs on the nil pool, which expands
-// each task right before its merge: the plain sequential worklist,
-// which never re-expands.
+// On the nil pool (Options.Pool unset) the executor expands each task
+// right before its merge: the plain sequential worklist, which never
+// re-expands.
 //
 // Cancellation rides dep.RunContext: the merge stops before its next
 // entry once ctx fires, in-flight expansions drain, and the run falls
@@ -48,10 +48,6 @@ import (
 // the partial Result is coherent for the merged prefix.
 func analyzeParallel(ctx context.Context, prog *lang.Program, opts Options) *Result {
 	pool := opts.Pool
-	if pool == nil || opts.Workers == 0 || opts.Workers == 1 {
-		pool = sched.ForWorkers(opts.Workers)
-		defer pool.Close()
-	}
 	// Metrics discipline: every counter that must not depend on the
 	// worker count (visits, joins, widenings, states) is recorded in the
 	// serial merge; workers only compute. The scheduling-dependent ones

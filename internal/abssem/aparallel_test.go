@@ -13,6 +13,7 @@ import (
 	"psa/internal/lang"
 	"psa/internal/metrics"
 	"psa/internal/progen"
+	"psa/internal/sched"
 	"psa/internal/workloads"
 )
 
@@ -67,9 +68,16 @@ func sameResult(t *testing.T, seq, par *Result) {
 	}
 }
 
-// analyzeAt runs prog at the given worker count.
-func analyzeAt(prog *lang.Program, opts Options, workers int) *Result {
-	opts.Workers = workers
+// testPool is sched.ForWorkers(w), closed when the test ends.
+func testPool(t *testing.T, w int) *sched.Pool {
+	pool := sched.ForWorkers(w)
+	t.Cleanup(pool.Close)
+	return pool
+}
+
+// analyzeAt runs prog on a pool of the given worker count.
+func analyzeAt(t *testing.T, prog *lang.Program, opts Options, workers int) *Result {
+	opts.Pool = testPool(t, workers)
 	return Analyze(prog, opts)
 }
 
@@ -102,7 +110,7 @@ func TestParallelMatchesSequentialAbstract(t *testing.T) {
 				seq := Analyze(prog, Options{Domain: dom, CollectFootprints: true, Metrics: mseq})
 				for _, workers := range []int{1, 2, 4, 8, -1} {
 					mpar := metrics.New()
-					par := analyzeAt(prog, Options{Domain: dom, CollectFootprints: true, Metrics: mpar}, workers)
+					par := analyzeAt(t, prog, Options{Domain: dom, CollectFootprints: true, Metrics: mpar}, workers)
 					sameResult(t, seq, par)
 					got := mpar.Snapshot().DeterministicCounters()
 					want := mseq.Snapshot().DeterministicCounters()
@@ -141,7 +149,7 @@ func TestParallelCorpusAbstract(t *testing.T) {
 			}
 			seq := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true})
 			for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-				par := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true, Workers: workers})
+				par := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true, Pool: testPool(t, workers)})
 				sameResult(t, seq, par)
 			}
 		})
@@ -168,7 +176,7 @@ func TestParallelRandomAbstract(t *testing.T) {
 			opts := Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true}
 			seq := Analyze(prog, opts)
 			for _, workers := range []int{2, 4} {
-				sameResult(t, seq, analyzeAt(prog, opts, workers))
+				sameResult(t, seq, analyzeAt(t, prog, opts, workers))
 			}
 		})
 	}
@@ -185,7 +193,7 @@ func TestParallelTruncationMatches(t *testing.T) {
 			t.Fatalf("MaxStates=%d did not truncate", max)
 		}
 		for _, workers := range []int{1, 4} {
-			sameResult(t, seq, analyzeAt(prog, opts, workers))
+			sameResult(t, seq, analyzeAt(t, prog, opts, workers))
 		}
 	}
 }

@@ -42,10 +42,9 @@ func TestAnalyzeContextPreCancelled(t *testing.T) {
 		{"sequential", 0},
 		{"workers-4", 4},
 	} {
+		pool := testPool(t, tc.workers)
 		before := runtime.NumGoroutine()
-		res := AnalyzeContext(ctx, workloads.Philosophers(3), Options{
-			Workers: tc.workers,
-		})
+		res := AnalyzeContext(ctx, workloads.Philosophers(3), Options{Pool: pool})
 		if !res.Cancelled {
 			t.Errorf("%s: Cancelled not set on a pre-cancelled run", tc.name)
 		}
@@ -78,14 +77,14 @@ func TestAnalyzeContextCancelMidRun(t *testing.T) {
 		{"sequential", 0},
 		{"workers-4", 4},
 	} {
+		pool := testPool(t, tc.workers)
 		before := runtime.NumGoroutine()
 		reg := metrics.New()
 		ctx, cancel := context.WithCancel(context.Background())
 		resc := make(chan *Result, 1)
 		go func() {
 			resc <- AnalyzeContext(ctx, workloads.Philosophers(5), Options{
-				Domain: absdom.IntervalDomain{}, Metrics: reg,
-				Workers: tc.workers,
+				Domain: absdom.IntervalDomain{}, Metrics: reg, Pool: pool,
 			})
 		}()
 		// Cancel once the fixpoint has demonstrably visited some prefix.
@@ -132,7 +131,7 @@ func TestAbsTruncationNotReportedAsCancellation(t *testing.T) {
 		{"workers-4", 4},
 	} {
 		res := AnalyzeContext(context.Background(), workloads.Philosophers(4), Options{
-			MaxStates: 100, Workers: tc.workers,
+			MaxStates: 100, Pool: testPool(t, tc.workers),
 		})
 		if !res.Truncated {
 			t.Errorf("%s: expected truncation at MaxStates=100", tc.name)

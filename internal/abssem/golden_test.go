@@ -17,6 +17,7 @@ import (
 	"psa/internal/metrics"
 	"psa/internal/paperexp"
 	"psa/internal/progen"
+	"psa/internal/sched"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/seq_golden.json from the current engine")
@@ -119,9 +120,10 @@ func TestSequentialGolden(t *testing.T) {
 			t.Errorf("%s: no golden entry", c.name)
 			continue
 		}
+		// sched.ForWorkers maps both requests to the nil pool: inline.
 		for _, workers := range []int{0, 1} {
 			o := c.opts
-			o.Workers = workers
+			o.Pool = sched.ForWorkers(workers)
 			if got := goldenOf(c.prog, o); !reflect.DeepEqual(got, w) {
 				t.Errorf("%s workers=%d:\n got %+v\nwant %+v", c.name, workers, got, w)
 			}
@@ -160,13 +162,13 @@ func writeGolden(t *testing.T, entries map[string]goldenEntry) {
 	}
 }
 
-// At one worker the executor expands each task right before its merge:
-// the plain sequential worklist, which never finds a task stale.
+// On the nil pool the executor expands each task right before its
+// merge: the plain sequential worklist, which never finds a task stale.
 func TestInlineNeverRecomputes(t *testing.T) {
 	for _, c := range goldenCases(t) {
 		m := metrics.New()
 		o := c.opts
-		o.Workers, o.Metrics = 1, m
+		o.Metrics = m
 		abssem.Analyze(c.prog, o)
 		if n := m.Get(metrics.AbsStaleRecomputes); n != 0 {
 			t.Errorf("%s: %d stale recomputes at one worker, want 0", c.name, n)

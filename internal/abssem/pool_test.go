@@ -27,19 +27,19 @@ func TestSharedPoolAcrossEngines(t *testing.T) {
 	aseq := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true})
 	for run := 0; run < 2; run++ {
 		apar := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true,
-			Workers: 4, Pool: pool})
+			Pool: pool})
 		sameResult(t, aseq, apar)
 	}
 
 	eseq := explore.Explore(prog, explore.Options{Reduction: explore.Full})
-	epar := explore.Explore(prog, explore.Options{Reduction: explore.Full, Workers: 4, Pool: pool})
+	epar := explore.Explore(prog, explore.Options{Reduction: explore.Full, Pool: pool})
 	if epar.States != eseq.States || epar.Edges != eseq.Edges {
 		t.Errorf("concrete explorer on the shared pool: %d/%d != inline %d/%d",
 			epar.States, epar.Edges, eseq.States, eseq.Edges)
 	}
 	// And the abstract engine again, after the concrete one used the pool.
 	apar := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true,
-		Workers: 4, Pool: pool})
+		Pool: pool})
 	sameResult(t, aseq, apar)
 
 	pool.Close()
@@ -59,12 +59,11 @@ func TestPoolCleanShutdownOnTruncation(t *testing.T) {
 		t.Fatal("MaxStates=17 did not truncate")
 	}
 	popts := opts
-	popts.Workers = 4
 	popts.Pool = pool
 	par := Analyze(prog, popts)
 	sameResult(t, seq, par)
 	// The pool survives the cut and serves a complete fixpoint next.
-	full := Analyze(prog, Options{Domain: absdom.ConstDomain{}, Workers: 4, Pool: pool})
+	full := Analyze(prog, Options{Domain: absdom.ConstDomain{}, Pool: pool})
 	if full.Truncated {
 		t.Error("post-truncation reuse: full run reported truncation")
 	}
@@ -72,14 +71,16 @@ func TestPoolCleanShutdownOnTruncation(t *testing.T) {
 	waitForGoroutineBaseline(t, before)
 }
 
-// Without Options.Pool each parallel Analyze runs a private pool and
-// must tear it down on exit — on the fixpoint path and the truncation
-// path alike.
+// Analyze runs on a caller's pool, on the fixpoint path and the
+// truncation path alike, leave no goroutine behind once the caller
+// closes the pool: the engine starts none of its own.
 func TestPrivatePoolNoGoroutineLeak(t *testing.T) {
 	prog := workloads.Philosophers(3)
 	before := runtime.NumGoroutine()
-	Analyze(prog, Options{Domain: absdom.IntervalDomain{}, Workers: 4})
-	Analyze(prog, Options{Domain: absdom.ConstDomain{}, MaxStates: 17, Workers: 4})
+	pool := sched.NewPool(4)
+	Analyze(prog, Options{Domain: absdom.IntervalDomain{}, Pool: pool})
+	Analyze(prog, Options{Domain: absdom.ConstDomain{}, MaxStates: 17, Pool: pool})
+	pool.Close()
 	waitForGoroutineBaseline(t, before)
 }
 
@@ -91,7 +92,6 @@ func TestPrivatePoolNoGoroutineLeak(t *testing.T) {
 func exploreMatches(t *testing.T, prog *lang.Program, opts explore.Options, pool *sched.Pool) {
 	t.Helper()
 	seq := explore.Explore(prog, opts)
-	opts.Workers = pool.Workers()
 	opts.Pool = pool
 	par := explore.Explore(prog, opts)
 	if par.States != seq.States || par.Edges != seq.Edges || par.Truncated != seq.Truncated {
@@ -128,7 +128,7 @@ func TestDepMatchesSequentialAbstract(t *testing.T) {
 						exploreMatches(t, prog, explore.Options{Reduction: explore.Full, MaxConfigs: 1 << 12}, pool)
 						mpar := metrics.New()
 						par := Analyze(prog, Options{Domain: dom, CollectFootprints: true,
-							Metrics: mpar, Workers: workers, Pool: pool})
+							Metrics: mpar, Pool: pool})
 						sameResult(t, seq, par)
 						got := mpar.Snapshot().DeterministicCounters()
 						want := mseq.Snapshot().DeterministicCounters()
@@ -161,7 +161,6 @@ func TestDepRandomAbstract(t *testing.T) {
 			exploreMatches(t, prog, explore.Options{Reduction: explore.Full, MaxConfigs: 1 << 10}, pool)
 			opts := Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true}
 			seq := Analyze(prog, opts)
-			opts.Workers = 4
 			opts.Pool = pool
 			sameResult(t, seq, Analyze(prog, opts))
 		})
@@ -182,7 +181,6 @@ func TestDepTruncationMatchesAbstract(t *testing.T) {
 			t.Fatalf("MaxStates=%d did not truncate", max)
 		}
 		popts := opts
-		popts.Workers = 4
 		popts.Pool = pool
 		sameResult(t, seq, Analyze(prog, popts))
 	}
@@ -199,7 +197,7 @@ func TestDepSharedPoolAndTruncationShutdown(t *testing.T) {
 	aseq := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true})
 	for run := 0; run < 2; run++ {
 		apar := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true,
-			Workers: 4, Pool: pool})
+			Pool: pool})
 		sameResult(t, aseq, apar)
 	}
 
@@ -209,13 +207,12 @@ func TestDepSharedPoolAndTruncationShutdown(t *testing.T) {
 		t.Fatal("MaxStates=17 did not truncate")
 	}
 	tpopts := topts
-	tpopts.Workers = 4
 	tpopts.Pool = pool
 	sameResult(t, tseq, Analyze(prog, tpopts))
 
 	// The pool survives the cut for the explorer and the abstract engine.
 	exploreMatches(t, prog, explore.Options{Reduction: explore.Full}, pool)
-	full := Analyze(prog, Options{Domain: absdom.ConstDomain{}, Workers: 4, Pool: pool})
+	full := Analyze(prog, Options{Domain: absdom.ConstDomain{}, Pool: pool})
 	if full.Truncated {
 		t.Error("post-truncation reuse: full run reported truncation")
 	}
@@ -224,15 +221,17 @@ func TestDepSharedPoolAndTruncationShutdown(t *testing.T) {
 	waitForGoroutineBaseline(t, before)
 }
 
-// Private pools of both engines, complete and truncated runs, tear
-// down on exit.
+// Both engines on a caller's pool, complete and truncated runs, leave
+// no goroutine behind once the caller closes the pool.
 func TestDepPrivatePoolNoGoroutineLeak(t *testing.T) {
 	prog := workloads.Philosophers(3)
 	before := runtime.NumGoroutine()
-	explore.Explore(prog, explore.Options{Reduction: explore.Full, Workers: 4})
-	explore.Explore(prog, explore.Options{Reduction: explore.Full, MaxConfigs: 50, Workers: 4})
-	Analyze(prog, Options{Domain: absdom.IntervalDomain{}, Workers: 4})
-	Analyze(prog, Options{Domain: absdom.ConstDomain{}, MaxStates: 17, Workers: 4})
+	pool := sched.NewPool(4)
+	explore.Explore(prog, explore.Options{Reduction: explore.Full, Pool: pool})
+	explore.Explore(prog, explore.Options{Reduction: explore.Full, MaxConfigs: 50, Pool: pool})
+	Analyze(prog, Options{Domain: absdom.IntervalDomain{}, Pool: pool})
+	Analyze(prog, Options{Domain: absdom.ConstDomain{}, MaxStates: 17, Pool: pool})
+	pool.Close()
 	waitForGoroutineBaseline(t, before)
 }
 

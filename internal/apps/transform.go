@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"psa/internal/explore"
 	"psa/internal/lang"
@@ -133,40 +132,28 @@ type Equivalence struct {
 // reachable outcome sets over every global: the transformation is safe
 // iff they coincide (and no new error states appear). This closes the
 // loop the paper opens — the same state-space machinery that justified
-// the restructuring checks it. Both explorations run sequentially with
-// full reduction; VerifyScheduleWith threads a shared configuration.
+// the restructuring checks it. Both explorations run inline with full
+// reduction; VerifyScheduleWith threads a shared configuration.
 func VerifySchedule(original, transformed *lang.Program) Equivalence {
 	return VerifyScheduleWith(original, transformed, pipeline.RunOptions{})
 }
 
 // VerifyScheduleWith is VerifySchedule under a shared run configuration:
-// both explorations execute through ro's pool/worker settings, and —
-// since the two state spaces are independent — concurrently with each
-// other when ro requests parallelism. The verdict is unaffected: each
-// exploration is deterministic, and the outcome sets are compared only
-// after both complete. Verification always explores with full reduction
-// (a reduced traversal would under-approximate the outcome sets), so
-// ro's Reduction/Coarsen settings are deliberately overridden.
+// the two explorations run one after the other on ro's pool, so a
+// registry in ro.Metrics records them as two whole runs. The verdict is
+// unaffected: each exploration is deterministic, and the outcome sets
+// are compared only after both complete. Verification always explores
+// with full reduction (a reduced traversal would under-approximate the
+// outcome sets), so ro's Reduction/Coarsen settings are deliberately
+// overridden.
 func VerifyScheduleWith(original, transformed *lang.Program, ro pipeline.RunOptions) Equivalence {
 	names := make([]string, len(original.Globals))
 	for i, g := range original.Globals {
 		names[i] = g.Name
 	}
 	opts := ro.Strategy(explore.Full, false).ExploreOptions()
-	var resO, resT *explore.Result
-	if ro.Workers > 1 || ro.Workers < 0 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resT = explore.Explore(transformed, opts)
-		}()
-		resO = explore.Explore(original, opts)
-		wg.Wait()
-	} else {
-		resO = explore.Explore(original, opts)
-		resT = explore.Explore(transformed, opts)
-	}
+	resO := explore.Explore(original, opts)
+	resT := explore.Explore(transformed, opts)
 	eq := Equivalence{
 		OriginalOutcomes:    resO.OutcomeSet(names...),
 		TransformedOutcomes: resT.OutcomeSet(names...),

@@ -1,11 +1,15 @@
 package apps
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"psa/internal/abssem"
 	"psa/internal/lang"
+	"psa/internal/metrics"
+	"psa/internal/pipeline"
+	"psa/internal/sched"
 	"psa/internal/workloads"
 )
 
@@ -221,6 +225,43 @@ func TestMinimalDelaysPlanString(t *testing.T) {
 	for _, want := range []string{"ENFORCE s1 → s2", "ENFORCE s3 → s4", "conflict:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("plan rendering missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// VerifyScheduleWith runs its two explorations one after the other, so
+// a registry in ro.Metrics records two whole runs: the per-level stats
+// on a 2-worker pool equal those of the same two runs done inline. Two
+// runs at once on one registry would interleave BeginLevel/EndLevel
+// and mix each other's counts into every level.
+func TestVerifyScheduleSharedRegistry(t *testing.T) {
+	prog := workloads.Philosophers(4)
+	pool := sched.ForWorkers(2)
+	defer pool.Close()
+	levels := func(ro pipeline.RunOptions) []metrics.LevelStat {
+		m := metrics.New()
+		ro.Metrics = m
+		if !VerifyScheduleWith(prog, prog, ro).Equal {
+			t.Fatal("a program must verify against itself")
+		}
+		out := m.Snapshot().Levels
+		for i := range out {
+			out[i].Nanos = 0
+		}
+		return out
+	}
+	want := levels(pipeline.RunOptions{})
+	for _, tc := range []struct {
+		name string
+		ro   pipeline.RunOptions
+	}{
+		{"pool", pipeline.RunOptions{Pool: pool}},
+		// RunOptions.Workers is ignored: the width that once sent the
+		// two explorations onto concurrent goroutines changes nothing.
+		{"pool+workers", pipeline.RunOptions{Pool: pool, Workers: 2}},
+	} {
+		if got := levels(tc.ro); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d level stats differ from the inline runs' %d", tc.name, len(got), len(want))
 		}
 	}
 }

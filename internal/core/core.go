@@ -29,7 +29,6 @@ import (
 	"psa/internal/lang"
 	"psa/internal/metrics"
 	"psa/internal/pipeline"
-	"psa/internal/sched"
 )
 
 // Re-exported option/result types, so clients import only core.
@@ -78,17 +77,15 @@ const (
 // hands back results computed under different settings (the historical
 // single-slot cache silently did).
 //
-// The zero configuration is sequential with each engine's defaults;
-// Configure threads reductions, worker counts, caps, and metrics through
-// every subsequent run. An analyzer configured for parallel runs lazily
-// creates one shared sched.Pool for all of them; call Close to release
-// it (a no-op otherwise).
+// The zero configuration runs inline with each engine's defaults;
+// Configure threads reductions, the pool, caps, and metrics through
+// every subsequent run. The analyzer never creates or closes a pool:
+// a parallel configuration brings the caller's RunOptions.Pool.
 type Analyzer struct {
 	Prog *lang.Program
 
-	opts    pipeline.RunOptions
-	ownPool *sched.Pool
-	ctx     context.Context
+	opts pipeline.RunOptions
+	ctx  context.Context
 
 	// collectors memoizes one Collector per options key for the current
 	// program. It is not a result cache: a Collector answers label
@@ -163,43 +160,14 @@ func (a *Analyzer) context() context.Context {
 	return context.Background()
 }
 
-// Close releases the worker pool the analyzer created for its own
-// parallel runs. It never closes a caller-supplied RunOptions.Pool, and
-// is a no-op on sequential analyzers. The analyzer remains usable; a
-// later parallel run recreates the pool.
-func (a *Analyzer) Close() {
-	if a.ownPool != nil {
-		a.ownPool.Close()
-		a.ownPool = nil
-	}
-}
-
-// pool returns the pool every run of this analyzer executes on: the
-// caller-supplied one if configured, otherwise a lazily created analyzer-
-// owned pool sized by Workers (nil for sequential configurations).
-func (a *Analyzer) pool() *sched.Pool {
-	if a.opts.Pool != nil {
-		return a.opts.Pool
-	}
-	if a.ownPool == nil {
-		a.ownPool = sched.ForWorkers(a.opts.Workers)
-	}
-	return a.ownPool
-}
-
-// runOptions is the configured options with the shared pool filled in.
-func (a *Analyzer) runOptions() RunOptions {
-	ro := a.opts
-	ro.Pool = a.pool()
-	return ro
-}
-
 // Explore generates the reachable configuration space under opts. A
-// request at the analyzer's configured width that brings no pool of its
-// own executes on the analyzer's shared pool.
+// nil Pool or Metrics inherits the analyzer's configured one.
 func (a *Analyzer) Explore(opts ExploreOptions) *ExploreResult {
-	if opts.Pool == nil && opts.Workers == a.opts.Workers {
-		opts.Pool = a.pool()
+	if opts.Pool == nil {
+		opts.Pool = a.opts.Pool
+	}
+	if opts.Metrics == nil {
+		opts.Metrics = a.opts.Metrics
 	}
 	return explore.ExploreContext(a.context(), a.Prog, opts)
 }
@@ -230,7 +198,7 @@ func (a *Analyzer) Collect(extra ...explore.Sink) *Collector {
 	} else {
 		a.opts.Metrics.Inc(metrics.AnalysisCacheMiss)
 	}
-	res := pipeline.ExploreContext(a.context(), a.Prog, a.runOptions(), sinks...)
+	res := pipeline.ExploreContext(a.context(), a.Prog, a.opts, sinks...)
 	if !hit && !res.Cancelled {
 		// A cancelled traversal fed the collector a timing-dependent
 		// prefix of the stream; never cache it, so the next query reruns.
@@ -243,7 +211,7 @@ func (a *Analyzer) Collect(extra ...explore.Sink) *Collector {
 }
 
 // Abstract runs the abstract interpreter under the configured options
-// (domain defaults, worker count/pool/metrics from Configure) and caches
+// (domain defaults, pool and metrics from Configure) and caches
 // the result; use AbstractWith for engine-specific knobs.
 func (a *Analyzer) Abstract() *AbstractResult {
 	return a.AbstractWith(a.opts.AbstractOptions())
@@ -255,15 +223,12 @@ func (a *Analyzer) Abstract() *AbstractResult {
 // AbstractWith(defaults) and Abstract() share one cache entry, differing
 // options never collide, and a hit on the analyzer's own program returns
 // the stored result itself and replays no counters (its registry already
-// holds them). Zero-valued execution fields (Workers, Pool,
-// Metrics) inherit the analyzer's configuration; they never affect
-// results, only how the run executes.
+// holds them). A nil Pool or Metrics inherits the analyzer's
+// configured one; they never affect results, only how the run
+// executes.
 func (a *Analyzer) AbstractWith(opts AbstractOptions) *AbstractResult {
-	if opts.Workers == 0 {
-		opts.Workers = a.opts.Workers
-	}
-	if opts.Pool == nil && opts.Workers == a.opts.Workers {
-		opts.Pool = a.pool()
+	if opts.Pool == nil {
+		opts.Pool = a.opts.Pool
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = a.opts.Metrics
@@ -376,8 +341,8 @@ func (a *Analyzer) Restructure(sched *Schedule) (*Analyzer, error) {
 
 // VerifyAgainst explores both programs exhaustively and reports whether
 // their reachable outcome sets over all globals coincide. The two
-// explorations run through the analyzer's configured pool — concurrently
-// when the configuration requests parallelism.
+// explorations run one after the other on the analyzer's configured
+// pool.
 func (a *Analyzer) VerifyAgainst(other *Analyzer) apps.Equivalence {
-	return apps.VerifyScheduleWith(a.Prog, other.Prog, a.runOptions())
+	return apps.VerifyScheduleWith(a.Prog, other.Prog, a.opts)
 }

@@ -9,6 +9,7 @@ import (
 	"psa/internal/abssem"
 	"psa/internal/lang"
 	"psa/internal/metrics"
+	"psa/internal/sched"
 	"psa/internal/sem"
 )
 
@@ -30,7 +31,6 @@ func TestOneTraversal(t *testing.T) {
 	m := metrics.New()
 	a, _ := Parse(demoSrc)
 	a.Configure(RunOptions{Metrics: m})
-	defer a.Close()
 
 	a.Collect()
 	a.Dependences("s1", "s2", "s3", "s4")
@@ -68,12 +68,13 @@ func TestCollectCacheKeyedByOptions(t *testing.T) {
 	if again != full {
 		t.Error("restoring options must restore the cached collector")
 	}
-	// Execution-only settings share the key: a worker-count change is not
-	// a result-relevant reconfiguration.
-	parallel := a.Configure(RunOptions{Workers: 4}).Collect()
-	defer a.Close()
+	// Execution-only settings share the key: a pool change is not a
+	// result-relevant reconfiguration.
+	pool := sched.ForWorkers(4)
+	defer pool.Close()
+	parallel := a.Configure(RunOptions{Pool: pool}).Collect()
 	if parallel != full {
-		t.Error("worker count must not invalidate the collector cache")
+		t.Error("the pool must not invalidate the collector cache")
 	}
 }
 
@@ -156,13 +157,14 @@ func TestAbstractRepeatQueryReplaysNothing(t *testing.T) {
 	}
 }
 
-// A parallel-configured analyzer produces bit-identical analyses and
-// shares one pool across engines; Close releases it.
+// A parallel-configured analyzer produces bit-identical analyses, and
+// its Explore and VerifyAgainst inherit the configured pool.
 func TestConfiguredParallelMatchesSequential(t *testing.T) {
 	seq, _ := Parse(demoSrc)
 	par, _ := Parse(demoSrc)
-	par.Configure(RunOptions{Workers: 4})
-	defer par.Close()
+	pool := sched.ForWorkers(4)
+	defer pool.Close()
+	par.Configure(RunOptions{Pool: pool})
 
 	ds := seq.Dependences("s1", "s2", "s3", "s4")
 	dp := par.Dependences("s1", "s2", "s3", "s4")
@@ -170,7 +172,7 @@ func TestConfiguredParallelMatchesSequential(t *testing.T) {
 		t.Errorf("dependences differ across worker counts:\nseq %v\npar %v", ds, dp)
 	}
 	rs := seq.Explore(ExploreOptions{Reduction: Full})
-	rp := par.Explore(ExploreOptions{Reduction: Full, Workers: 4})
+	rp := par.Explore(ExploreOptions{Reduction: Full})
 	if rs.String() != rp.String() {
 		t.Errorf("exploration differs across worker counts:\nseq %s\npar %s", rs, rp)
 	}

@@ -41,9 +41,10 @@ func TestExploreContextPreCancelled(t *testing.T) {
 		{"sequential", 0},
 		{"workers-4", 4},
 	} {
+		pool := testPool(t, tc.workers)
 		before := runtime.NumGoroutine()
 		res := ExploreContext(ctx, workloads.Philosophers(3), Options{
-			Reduction: Full, Workers: tc.workers,
+			Reduction: Full, Pool: pool,
 		})
 		if !res.Cancelled {
 			t.Errorf("%s: Cancelled not set on a pre-cancelled run", tc.name)
@@ -73,11 +74,12 @@ func TestExploreContextCancelMidRun(t *testing.T) {
 		{"sequential", 0},
 		{"workers-4", 4},
 	} {
+		pool := testPool(t, tc.workers)
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		sink := &cancelSink{n: 25, cancel: cancel}
 		res := ExploreContext(ctx, workloads.Philosophers(4), Options{
-			Reduction: Full, Workers: tc.workers, Sink: sink,
+			Reduction: Full, Pool: pool, Sink: sink,
 		})
 		cancel()
 		if !res.Cancelled {
@@ -110,7 +112,7 @@ func TestTruncationNotReportedAsCancellation(t *testing.T) {
 		{"workers-4", 4},
 	} {
 		res := ExploreContext(context.Background(), workloads.Philosophers(4), Options{
-			Reduction: Full, MaxConfigs: 200, Workers: tc.workers,
+			Reduction: Full, MaxConfigs: 200, Pool: testPool(t, tc.workers),
 		})
 		if !res.Truncated {
 			t.Errorf("%s: expected truncation at MaxConfigs=200", tc.name)

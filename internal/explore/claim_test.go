@@ -90,7 +90,7 @@ func TestStatesBuiltCountsFirstDiscoveries(t *testing.T) {
 		for _, workers := range []int{0, 1, 2, 4} {
 			m := metrics.New()
 			o := c.opts
-			o.Workers, o.Metrics = workers, m
+			o.Pool, o.Metrics = testPool(t, workers), m
 			res := Explore(c.prog, o)
 			built, unique := m.Get(metrics.StatesBuilt), m.Get(metrics.StatesUnique)
 			if workers <= 1 && built != unique-1 {
@@ -115,7 +115,7 @@ func TestSinkConfigOnlyForNewStates(t *testing.T) {
 	for _, workers := range []int{0, 2, 4} {
 		sink := &configSink{}
 		m := metrics.New()
-		res := Explore(workloads.Philosophers(4), Options{Reduction: Full, Workers: workers, Sink: sink, Metrics: m})
+		res := Explore(workloads.Philosophers(4), Options{Reduction: Full, Pool: testPool(t, workers), Sink: sink, Metrics: m})
 		if sink.withConfig != res.States-1 {
 			t.Errorf("workers=%d: %d transitions carried a Config, want %d new states", workers, sink.withConfig, res.States-1)
 		}

@@ -21,9 +21,9 @@ import (
 // being expanded while the straggler is still running. The abstract
 // fixpoint runs on the same executor (DESIGN.md §7).
 //
-// At 0 or 1 workers the executor runs on the nil pool, which performs
-// expand and merge inline for one task after another: the plain
-// sequential BFS.
+// On the nil pool (Options.Pool unset) the executor performs expand
+// and merge inline for one task after another: the plain sequential
+// BFS.
 //
 // State identity is resolved during expansion by claiming: the visited
 // set is a concurrent claim table mapping each state identity to the
@@ -52,11 +52,6 @@ import (
 // Result is coherent for the merged prefix — the same cut shape as
 // MaxConfigs truncation.
 func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
-	pool := opts.Pool
-	if pool == nil || opts.Workers == 0 || opts.Workers == 1 {
-		pool = sched.ForWorkers(opts.Workers)
-		defer pool.Close()
-	}
 	m := opts.Metrics
 	defer m.Phase("explore")()
 	var sm *sem.Summaries
@@ -86,7 +81,7 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 	res.States = 1
 	m.Inc(metrics.StatesUnique)
 
-	dep := sched.NewDepRounds[item, depSlot](pool, sched.DepHooks{
+	dep := sched.NewDepRounds[item, depSlot](opts.Pool, sched.DepHooks{
 		Ready:     func(n int) { m.MaxGauge(metrics.DepReadyDepth, int64(n)) },
 		MergeWait: func() { m.Inc(metrics.DepMergeWaits) },
 	})
@@ -213,10 +208,6 @@ func exploreDep(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 			m.Add(metrics.CoarsenedSteps, int64(f.absorbed))
 			if opts.Sink != nil {
 				opts.Sink.Transition(&step)
-			}
-			if opts.CollectEvents {
-				res.Events = append(res.Events, step.Events...)
-				res.Allocs = append(res.Allocs, step.Allocs...)
 			}
 			if res.Graph != nil {
 				res.Graph.Nodes[cur.key].Out = append(res.Graph.Nodes[cur.key].Out,

@@ -16,27 +16,46 @@ import (
 // parallel (dependency-driven) explorer runs at.
 var parallelWorkers = []int{2, 4, 8, runtime.GOMAXPROCS(0)}
 
-// matchesSequential runs the configuration mk builds under opts once
-// inline (0 workers) and once at each worker count, and asserts the
-// parallel run is indistinguishable from the inline one: every Result
-// count (MaxFrontier included), the terminal and error sets, the truncation
-// flag, graph shape, the ordered sink event stream, every deterministic
-// metrics counter, and the per-level stats. opts must not set Workers,
-// Sink, or Metrics.
+// testPool is sched.ForWorkers(w), closed when the test ends.
+func testPool(t *testing.T, w int) *sched.Pool {
+	pool := sched.ForWorkers(w)
+	t.Cleanup(pool.Close)
+	return pool
+}
+
+// matchesSequential runs matchesOnPools on a fresh pool of each worker
+// count.
 func matchesSequential(t *testing.T, mk func() *sem.Config, opts Options, workers ...int) {
 	t.Helper()
-	run := func(w int) (*Result, *orderedSink, *metrics.Snapshot) {
+	pools := make([]*sched.Pool, len(workers))
+	for i, w := range workers {
+		pools[i] = testPool(t, w)
+	}
+	matchesOnPools(t, mk, opts, pools...)
+}
+
+// matchesOnPools runs the configuration mk builds under opts once
+// inline (nil pool) and once on each pool, and asserts the parallel run
+// is indistinguishable from the inline one: every Result count
+// (MaxFrontier included), the terminal and error sets, the truncation
+// flag, graph shape, the ordered sink stream with its access and
+// allocation events, every deterministic metrics counter, and the
+// per-level stats. opts must not set Pool, Sink, or Metrics.
+func matchesOnPools(t *testing.T, mk func() *sem.Config, opts Options, pools ...*sched.Pool) {
+	t.Helper()
+	run := func(pool *sched.Pool) (*Result, *orderedSink, *metrics.Snapshot) {
 		o := opts
-		o.Workers = w
+		o.Pool = pool
 		o.Sink = &orderedSink{}
 		m := metrics.New()
 		o.Metrics = m
 		res := ExploreFrom(mk(), o)
 		return res, o.Sink.(*orderedSink), m.Snapshot()
 	}
-	seq, seqSink, seqSnap := run(0)
-	for _, w := range workers {
-		par, parSink, parSnap := run(w)
+	seq, seqSink, seqSnap := run(nil)
+	for _, pool := range pools {
+		w := pool.Workers()
+		par, parSink, parSnap := run(pool)
 		if par.States != seq.States || par.Edges != seq.Edges || par.MaxFrontier != seq.MaxFrontier {
 			t.Errorf("workers=%d: states/edges/maxFrontier %d/%d/%d != inline %d/%d/%d", w,
 				par.States, par.Edges, par.MaxFrontier, seq.States, seq.Edges, seq.MaxFrontier)
@@ -51,8 +70,8 @@ func matchesSequential(t *testing.T, mk func() *sem.Config, opts Options, worker
 		if len(par.Errors) != len(seq.Errors) {
 			t.Errorf("workers=%d: %d error states, inline %d", w, len(par.Errors), len(seq.Errors))
 		}
-		if !reflect.DeepEqual(par.Events, seq.Events) || !reflect.DeepEqual(par.Allocs, seq.Allocs) {
-			t.Errorf("workers=%d: collected events differ", w)
+		if !reflect.DeepEqual(parSink.accesses, seqSink.accesses) || !reflect.DeepEqual(parSink.allocs, seqSink.allocs) {
+			t.Errorf("workers=%d: access/allocation events differ", w)
 		}
 		if !reflect.DeepEqual(parSink.events, seqSink.events) {
 			t.Errorf("workers=%d: sink stream diverges from inline (%d vs %d events)",
@@ -127,12 +146,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 		"peterson-reduced":   func() *sem.Config { return sem.NewConfig(workloads.Peterson()) },
 		"crossedwait-graphs": func() *sem.Config { return sem.NewConfig(workloads.CrossedWait()) },
 	}
-	pool := sched.NewPool(4)
-	defer pool.Close()
+	pool := testPool(t, 4)
 	for name, opts := range progs {
 		t.Run(name, func(t *testing.T) {
-			opts.Pool = pool
-			matchesSequential(t, sources[name], opts, 4, 4)
+			matchesOnPools(t, sources[name], opts, pool, pool)
 		})
 	}
 }
@@ -177,17 +194,18 @@ func TestParallelCorpus(t *testing.T) {
 
 // The merge chain must replay the inline sink stream verbatim, not
 // merely the same multiset (orderedSink is the event-for-event recorder
-// from metrics_test.go), with events collected.
+// from metrics_test.go, which also records every access and allocation
+// event).
 func TestDepSinkStreamIsSequential(t *testing.T) {
 	mk := func() *sem.Config { return sem.NewConfig(workloads.Philosophers(3)) }
-	matchesSequential(t, mk, Options{Reduction: Full, CollectEvents: true}, parallelWorkers...)
+	matchesSequential(t, mk, Options{Reduction: Full}, parallelWorkers...)
 }
 
 // The parallel sink sees every transition and every co-enabled conflict.
 func TestParallelSinkSeesEverything(t *testing.T) {
 	for _, workers := range parallelWorkers {
 		sink := &recordingSink{}
-		res := Explore(workloads.Fig2(), Options{Reduction: Full, Workers: workers, Sink: sink})
+		res := Explore(workloads.Fig2(), Options{Reduction: Full, Pool: testPool(t, workers), Sink: sink})
 		if sink.transitions != res.Edges {
 			t.Errorf("workers=%d: sink saw %d transitions, explorer counted %d", workers, sink.transitions, res.Edges)
 		}
@@ -229,7 +247,7 @@ func TestParallelTruncation(t *testing.T) {
 func TestDepTraceReplay(t *testing.T) {
 	prog := workloads.PetersonBroken()
 	for _, workers := range parallelWorkers {
-		res := Explore(prog, Options{Reduction: Full, KeepGraph: true, Workers: workers})
+		res := Explore(prog, Options{Reduction: Full, KeepGraph: true, Pool: testPool(t, workers)})
 		if len(res.Errors) == 0 {
 			t.Fatalf("workers=%d: violation expected", workers)
 		}
@@ -262,7 +280,7 @@ func TestDepTraceReplay(t *testing.T) {
 func TestParallelTraceReplay(t *testing.T) {
 	prog := workloads.PetersonBroken()
 	for _, workers := range parallelWorkers {
-		res := Explore(prog, Options{Reduction: Stubborn, KeepGraph: true, Workers: workers})
+		res := Explore(prog, Options{Reduction: Stubborn, KeepGraph: true, Pool: testPool(t, workers)})
 		if len(res.Errors) == 0 {
 			t.Fatalf("workers=%d: violation expected", workers)
 		}
@@ -292,9 +310,13 @@ func TestParallelTraceReplay(t *testing.T) {
 	}
 }
 
-// A negative worker count means GOMAXPROCS workers and is held to the
-// same differential check.
+// sched.ForWorkers(-1), the CLIs' "all cores" request, is a pool of
+// GOMAXPROCS workers, held to the same differential check.
 func TestNegativeWorkersMeansAllCores(t *testing.T) {
+	pool := testPool(t, -1)
+	if got, want := pool.Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("ForWorkers(-1) has %d workers, want GOMAXPROCS=%d", got, want)
+	}
 	mk := func() *sem.Config { return sem.NewConfig(workloads.Fig2()) }
-	matchesSequential(t, mk, Options{Reduction: Full}, -1)
+	matchesOnPools(t, mk, Options{Reduction: Full}, pool)
 }

@@ -51,10 +51,8 @@ func (r Reduction) String() string {
 // Zero-value audit (the abssem.Options defaulting-bug sweep): every
 // integer field here treats 0 as "use the default", and no meaningful
 // boundary value is swallowed by that — MaxConfigs has no sensible
-// bound below 1, and Workers already gives 0/1 (inline) and negative
-// (GOMAXPROCS) explicit meanings. New limit fields with a
-// meaningful 0 must follow abssem's convention: 0 defaults, negative
-// requests the boundary 0.
+// bound below 1. New limit fields with a meaningful 0 must follow
+// abssem's convention: 0 defaults, negative requests the boundary 0.
 type Options struct {
 	// Reduction selects full or stubborn-set expansion (default Full).
 	Reduction Reduction
@@ -65,9 +63,6 @@ type Options struct {
 	// MaxConfigs aborts exploration after this many distinct
 	// configurations (default 1<<20).
 	MaxConfigs int
-	// CollectEvents retains per-edge access events and allocation events
-	// for the analyses; off by default to keep big explorations cheap.
-	CollectEvents bool
 	// KeepGraph retains the explicit configuration graph (Result.Graph)
 	// for witness traces, divergence detection, and DOT export.
 	KeepGraph bool
@@ -82,21 +77,19 @@ type Options struct {
 	// fuse with probability ~n²/2¹²⁹ — see sem.Fingerprint. KeepGraph
 	// implies exact keys, since graph nodes are addressed by key.
 	ExactKeys bool
-	// Workers is the number of goroutines the dependency-driven
-	// pipeline (dep.go) expands on: 0 or 1 runs it inline on the
-	// caller's goroutine, a negative count uses GOMAXPROCS. Counts,
-	// result sets, discovery parents, MaxFrontier, per-level stats, and
-	// the sink event stream are identical at every count.
-	Workers int
-	// Pool, when non-nil, is the shared scheduler pool (internal/sched)
-	// parallel exploration runs on: its worker count governs scheduling,
-	// the caller keeps ownership (the explorer never closes it), and
-	// consecutive Explore/Analyze calls may reuse it to amortize worker
-	// startup. Nil makes each multi-worker exploration run a private
-	// pool sized by Workers. Ignored when Workers is 0 or 1.
+	// Pool is the scheduler pool (internal/sched) the exploration runs
+	// on, and the only execution setting: nil runs the dependency-driven
+	// pipeline (dep.go) inline on the caller's goroutine, a non-nil pool
+	// runs it on that pool's workers. The caller keeps ownership (the
+	// explorer never closes it), and consecutive Explore/Analyze calls
+	// may share it. Counts, result sets, discovery parents, MaxFrontier,
+	// per-level stats, and the sink event stream are identical on every
+	// pool.
 	Pool *sched.Pool
 	// Sink, when non-nil, receives instrumentation callbacks during
-	// exploration regardless of CollectEvents.
+	// exploration: per-edge access and allocation events and co-enabled
+	// conflicts. Without a sink the explorer steps quietly and builds
+	// no events at all.
 	Sink Sink
 	// Metrics, when non-nil, receives counters, gauges, per-level stats,
 	// and phase timings during exploration (states generated/deduped,
@@ -134,19 +127,17 @@ type Result struct {
 	// listed in Errors.
 	Terminals map[sem.Key]*sem.Config
 	Errors    []*sem.Config
-	// Events and Allocs hold all instrumentation when CollectEvents.
-	Events []sem.Event
-	Allocs []sem.AllocEvent
 	// Truncated reports that MaxConfigs was hit; counts are lower bounds
 	// and Terminals may be incomplete.
 	Truncated bool
 	// Cancelled reports that the run's context was cancelled before the
 	// exploration finished (see ExploreContext). A cancelled result obeys
 	// the same artifact-coherence contract as a truncated one: counts,
-	// Terminals, Errors, Events, and the Graph all describe exactly the
-	// explored prefix. Unlike Truncated, the cut point depends on timing,
-	// so two cancelled runs of the same program may explore different
-	// prefixes — cancelled results must never enter options-keyed caches.
+	// Terminals, Errors, the sink stream, and the Graph all describe
+	// exactly the explored prefix. Unlike Truncated, the cut point
+	// depends on timing, so two cancelled runs of the same program may
+	// explore different prefixes — cancelled results must never enter
+	// options-keyed caches.
 	Cancelled bool
 	// MaxFrontier is the peak size of the BFS frontier (memory proxy).
 	MaxFrontier int
@@ -363,9 +354,9 @@ func fire(c *sem.Config, pi int, opts Options, absorbLateCritical bool, sc *sem.
 }
 
 // withEvents reports whether anything reads the per-access event stream:
-// a sink or event collection. Otherwise the explorer steps quietly and
-// skips materializing it (the per-step Event/AllocEvent allocations).
-func withEvents(opts Options) bool { return opts.Sink != nil || opts.CollectEvents }
+// only a sink does. Otherwise the explorer steps quietly and skips
+// materializing it (the per-step Event/AllocEvent allocations).
+func withEvents(opts Options) bool { return opts.Sink != nil }
 
 // coEnabledConflicts finds the conflicting co-enabled action pairs of c,
 // in the order the sink receives them.

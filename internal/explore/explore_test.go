@@ -280,12 +280,14 @@ func main() {
 	}
 }
 
+// A sink receives every transition's access and allocation events.
 func TestCollectEvents(t *testing.T) {
-	res := Explore(workloads.Fig5Malloc(), Options{Reduction: Full, CollectEvents: true})
-	if len(res.Events) == 0 {
+	sink := &orderedSink{}
+	Explore(workloads.Fig5Malloc(), Options{Reduction: Full, Sink: sink})
+	if len(sink.accesses) == 0 {
 		t.Error("no events collected")
 	}
-	if len(res.Allocs) == 0 {
+	if len(sink.allocs) == 0 {
 		t.Error("no allocation events collected")
 	}
 }

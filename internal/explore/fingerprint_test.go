@@ -60,7 +60,7 @@ func TestFingerprintModeMatchesExact(t *testing.T) {
 					m := metrics.New()
 					opts := tc.opts
 					opts.ExactKeys = exact
-					opts.Workers = workers
+					opts.Pool = testPool(t, workers)
 					opts.Metrics = m
 					res := Explore(prog, opts)
 

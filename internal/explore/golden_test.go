@@ -19,6 +19,7 @@ import (
 	"psa/internal/metrics"
 	"psa/internal/paperexp"
 	"psa/internal/progen"
+	"psa/internal/sched"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/seq_golden.json from the current explorer")
@@ -136,9 +137,10 @@ func TestSequentialGolden(t *testing.T) {
 			t.Errorf("%s: no golden entry", c.name)
 			continue
 		}
+		// sched.ForWorkers maps both requests to the nil pool: inline.
 		for _, workers := range []int{0, 1} {
 			o := c.opts
-			o.Workers = workers
+			o.Pool = sched.ForWorkers(workers)
 			if got := goldenOf(c.prog, o); !reflect.DeepEqual(got, w) {
 				t.Errorf("%s workers=%d:\n got %+v\nwant %+v", c.name, workers, got, w)
 			}

@@ -12,14 +12,20 @@ import (
 	"psa/internal/workloads"
 )
 
-// orderedSink records the full instrumentation stream as strings, so two
-// explorations can be compared event-for-event.
+// orderedSink records the full instrumentation stream, so two
+// explorations can be compared event-for-event: transitions and
+// conflicts as strings, and every transition's access and allocation
+// events.
 type orderedSink struct {
-	events []string
+	events   []string
+	accesses []sem.Event
+	allocs   []sem.AllocEvent
 }
 
 func (s *orderedSink) Transition(res *sem.StepResult) {
 	s.events = append(s.events, "T:"+res.Proc+":"+describeStep(res))
+	s.accesses = append(s.accesses, res.Events...)
+	s.allocs = append(s.allocs, res.Allocs...)
 }
 
 func (s *orderedSink) CoEnabled(c *sem.Config, a, b lang.NodeID, loc sem.Loc, ww bool) {
@@ -46,7 +52,7 @@ func TestMetricsMatchResult(t *testing.T) {
 		"fig2-full":       {workloads.Fig2(), Options{Reduction: Full}},
 		"fig5-stubborn":   {workloads.Fig5Malloc(), Options{Reduction: Stubborn}},
 		"philo3-reduced":  {workloads.Philosophers(3), Options{Reduction: Stubborn, Coarsen: true}},
-		"philo3-parallel": {workloads.Philosophers(3), Options{Reduction: Full, Workers: 4}},
+		"philo3-parallel": {workloads.Philosophers(3), Options{Reduction: Full, Pool: testPool(t, 4)}},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -129,7 +135,7 @@ func TestParallelMetricsDeterministic(t *testing.T) {
 				m := metrics.New()
 				sink := &orderedSink{}
 				opts := tc.opts
-				opts.Workers = workers
+				opts.Pool = testPool(t, workers)
 				opts.Metrics = m
 				opts.Sink = sink
 				res := Explore(tc.prog, opts)
@@ -170,7 +176,7 @@ func TestMetricsTruncation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		m := metrics.New()
 		res := Explore(workloads.Philosophers(4), Options{
-			Reduction: Full, Coarsen: true, MaxConfigs: 200, Workers: workers, Metrics: m,
+			Reduction: Full, Coarsen: true, MaxConfigs: 200, Pool: testPool(t, workers), Metrics: m,
 		})
 		if !res.Truncated {
 			t.Fatalf("workers=%d: expected truncation", workers)

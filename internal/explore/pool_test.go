@@ -18,7 +18,7 @@ func TestSharedPoolReuseAcrossExplores(t *testing.T) {
 	pool := sched.NewPool(4)
 	seq := Explore(workloads.Philosophers(3), Options{Reduction: Full})
 	for run := 0; run < 3; run++ {
-		par := Explore(workloads.Philosophers(3), Options{Reduction: Full, Workers: 4, Pool: pool})
+		par := Explore(workloads.Philosophers(3), Options{Reduction: Full, Pool: pool})
 		if par.States != seq.States || par.Edges != seq.Edges {
 			t.Fatalf("run %d on shared pool: %d/%d != inline %d/%d",
 				run, par.States, par.Edges, seq.States, seq.Edges)
@@ -37,13 +37,13 @@ func TestSharedPoolReuseAcrossExplores(t *testing.T) {
 func TestPoolCleanShutdownOnTruncation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	pool := sched.NewPool(4)
-	res := Explore(workloads.Philosophers(4), Options{Reduction: Full, MaxConfigs: 200, Workers: 4, Pool: pool})
+	res := Explore(workloads.Philosophers(4), Options{Reduction: Full, MaxConfigs: 200, Pool: pool})
 	if !res.Truncated {
 		t.Fatal("expected truncation")
 	}
 	// The same pool must still run a full exploration afterwards.
 	seq := Explore(workloads.Fig2(), Options{Reduction: Full})
-	par := Explore(workloads.Fig2(), Options{Reduction: Full, Workers: 4, Pool: pool})
+	par := Explore(workloads.Fig2(), Options{Reduction: Full, Pool: pool})
 	if par.States != seq.States {
 		t.Fatalf("post-truncation reuse: %d states != inline %d", par.States, seq.States)
 	}
@@ -51,12 +51,15 @@ func TestPoolCleanShutdownOnTruncation(t *testing.T) {
 	waitForGoroutineBaseline(t, before)
 }
 
-// Without Options.Pool, each parallel exploration runs a private pool
-// and must tear it down on exit — including on the truncation path.
+// Explorations on a caller's pool, complete and truncated, leave no
+// goroutine behind once the caller closes the pool: the explorer starts
+// none of its own.
 func TestPrivatePoolNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	Explore(workloads.Philosophers(3), Options{Reduction: Full, Workers: 4})
-	Explore(workloads.Philosophers(4), Options{Reduction: Full, MaxConfigs: 200, Workers: 4})
+	pool := sched.NewPool(4)
+	Explore(workloads.Philosophers(3), Options{Reduction: Full, Pool: pool})
+	Explore(workloads.Philosophers(4), Options{Reduction: Full, MaxConfigs: 200, Pool: pool})
+	pool.Close()
 	waitForGoroutineBaseline(t, before)
 }
 

@@ -81,7 +81,7 @@ func TestTruncatedRunArtifacts(t *testing.T) {
 	seqCut := Explore(prog, Options{Reduction: Full, MaxConfigs: 50})
 	cuts := map[string]*Result{
 		"sequential": seqCut,
-		"workers-4":  Explore(prog, Options{Reduction: Full, MaxConfigs: 50, Workers: 4}),
+		"workers-4":  Explore(prog, Options{Reduction: Full, MaxConfigs: 50, Pool: testPool(t, 4)}),
 	}
 	for name, cut := range cuts {
 		if !cut.Truncated {

@@ -82,7 +82,9 @@ func checkScratchWalk(t *testing.T, prog *lang.Program, opts explore.Options) {
 		for _, pi := range set {
 			for _, quiet := range []bool{true, false} {
 				o := opts
-				o.CollectEvents = !quiet
+				if !quiet {
+					o.Sink = nopSink{} // a sink turns the event stream on
+				}
 				res, absorbed := explore.Fire(cur.cfg, pi, o, absorbLate, sc)
 				want := heapChain(cur.cfg, pi, absorbed, quiet)
 				wantKey, wantFP := want.Config.Encode(), want.Config.Fingerprint()
@@ -113,6 +115,12 @@ func checkScratchWalk(t *testing.T, prog *lang.Program, opts explore.Options) {
 		}
 	}
 }
+
+// nopSink discards the instrumentation stream.
+type nopSink struct{}
+
+func (nopSink) Transition(*sem.StepResult)                                     {}
+func (nopSink) CoEnabled(*sem.Config, lang.NodeID, lang.NodeID, sem.Loc, bool) {}
 
 // heapChain replays a fired transition with Step: the first step of
 // process pi, then absorbed more steps of the same process (the

@@ -64,7 +64,8 @@ func (e AbsExpectation) Options() abssem.Options { return e.opts }
 type AbsWorkloadRow struct {
 	Workload string `json:"workload"`
 	Domain   string `json:"domain"`
-	Workers  int    `json:"workers"`
+	// Workers is the run's pool width (1 for an inline run).
+	Workers int `json:"workers"`
 
 	WantStates int  `json:"want_states"`
 	States     int  `json:"states"`
@@ -95,18 +96,18 @@ type AbsWorkloadRow struct {
 // recorded count diverges — including when the run truncated, which the
 // old engine reported as empty results that silently "matched" nothing.
 func VerifyAbstractWorkloads(workers int) []AbsWorkloadRow {
-	// One pool serves every workload run at this worker count (nil — and
-	// ignored by the engine — for sequential requests), so the sweep also
-	// exercises pool reuse across consecutive engine invocations.
+	// One pool serves every workload run at this worker count (nil, so
+	// inline, for sequential requests), so the sweep also exercises pool
+	// reuse across consecutive engine invocations.
 	pool := sched.ForWorkers(workers)
 	defer pool.Close()
-	return VerifyAbstractWorkloadsOpts(pipeline.RunOptions{Workers: workers, Pool: pool})
+	return VerifyAbstractWorkloadsOpts(pipeline.RunOptions{Pool: pool})
 }
 
 // VerifyAbstractWorkloadsOpts is VerifyAbstractWorkloads under a shared
 // run configuration: each expectation keeps its recorded domain and
-// k-limit settings while ro supplies the worker count and pool. The
-// caller owns ro.Pool.
+// k-limit settings while ro supplies the pool. The caller owns
+// ro.Pool.
 func VerifyAbstractWorkloadsOpts(ro pipeline.RunOptions) []AbsWorkloadRow {
 	exps := AbsExpectations()
 	rows := make([]AbsWorkloadRow, 0, len(exps))
@@ -114,7 +115,6 @@ func VerifyAbstractWorkloadsOpts(ro pipeline.RunOptions) []AbsWorkloadRow {
 		m := metrics.New()
 		opts := e.opts
 		opts.Metrics = m
-		opts.Workers = ro.Workers
 		opts.Pool = ro.Pool
 		start := time.Now()
 		res := abssem.Analyze(e.prog(), opts)
@@ -123,7 +123,7 @@ func VerifyAbstractWorkloadsOpts(ro pipeline.RunOptions) []AbsWorkloadRow {
 		row := AbsWorkloadRow{
 			Workload:   e.Workload,
 			Domain:     e.Domain,
-			Workers:    ro.Workers,
+			Workers:    ro.Pool.Workers(),
 			WantStates: e.States,
 			States:     res.States,
 			Visits:     res.Visits,

@@ -11,6 +11,7 @@ import (
 	"psa/internal/lang"
 	"psa/internal/metrics"
 	"psa/internal/pipeline"
+	"psa/internal/sched"
 )
 
 // loadEditChains reads the hand-written edit chains under
@@ -56,12 +57,14 @@ func TestEditCorpusIncremental(t *testing.T) {
 	if len(chains) != 5 {
 		t.Fatalf("expected the 5 canonical edit chains, found %d: %v", len(chains), chains)
 	}
+	pool := sched.ForWorkers(4)
+	t.Cleanup(pool.Close)
 	engines := []struct {
 		name string
 		ro   pipeline.RunOptions
 	}{
 		{"seq", pipeline.RunOptions{}},
-		{"workers4", pipeline.RunOptions{Workers: 4}},
+		{"workers4", pipeline.RunOptions{Pool: pool}},
 	}
 	names := make([]string, 0, len(chains))
 	for name := range chains {

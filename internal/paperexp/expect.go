@@ -114,7 +114,7 @@ func VerifyWorkloadsMode(exactKeys bool) []WorkloadRow {
 }
 
 // VerifyWorkloadsOpts is VerifyWorkloads under caller-provided execution
-// settings: ExactKeys, Workers, and Pool are honored per run. The
+// settings: ExactKeys and Pool are honored per run. The
 // strategy fields are ignored — each expectation records its own
 // reduction settings, which are what its counts were measured under.
 func VerifyWorkloadsOpts(ro pipeline.RunOptions) []WorkloadRow {
@@ -128,7 +128,6 @@ func verifyAgainst(exps []Expectation, ro pipeline.RunOptions) []WorkloadRow {
 		opts := e.opts
 		opts.Metrics = m
 		opts.ExactKeys = ro.ExactKeys
-		opts.Workers = ro.Workers
 		opts.Pool = ro.Pool
 		start := time.Now()
 		res := explore.Explore(e.prog(), opts)

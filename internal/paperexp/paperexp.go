@@ -78,7 +78,7 @@ func (t *Table) String() string {
 }
 
 // Experiment is a runnable experiment from the registry. Run takes the
-// shared run configuration (worker count, pool, key mode, metrics) the
+// shared run configuration (pool, key mode, metrics) the
 // caller threads through every engine invocation; every recorded number
 // is identical at any worker count by the engines' determinism contract.
 type Experiment struct {

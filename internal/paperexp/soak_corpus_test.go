@@ -9,6 +9,7 @@ import (
 	"psa/internal/explore"
 	"psa/internal/lang"
 	"psa/internal/pipeline"
+	"psa/internal/sched"
 )
 
 // loadSoakCorpus reads the generator-derived programs under
@@ -77,8 +78,10 @@ func TestSoakCorpusDifferential(t *testing.T) {
 			}
 
 			// Parallel bit-identity, both engines.
+			pool := sched.ForWorkers(4)
+			t.Cleanup(pool.Close)
 			par := ro
-			par.Workers = 4
+			par.Pool = pool
 			pres := pipeline.Explore(prog, par)
 			if pres.States != full.States || pres.Edges != full.Edges ||
 				!equalStrings(pres.TerminalStoreSet(), want) {

@@ -29,8 +29,8 @@ func NewIncremental(ro RunOptions, adjust func(*abssem.Options)) *Incremental {
 }
 
 // Configure replaces the session's run options and returns the session
-// for chaining. Meant for the execution-only fields (workers, pool,
-// metrics); a result-relevant change simply misses the cache.
+// for chaining. Meant for the execution-only fields (pool, metrics); a
+// result-relevant change simply misses the cache.
 func (inc *Incremental) Configure(ro RunOptions) *Incremental {
 	inc.mu.Lock()
 	inc.ro = ro

@@ -94,6 +94,8 @@ func scratchCounters(t *testing.T, src string, ro RunOptions) (string, map[strin
 }
 
 func TestIncrementalBitIdentical(t *testing.T) {
+	pool := sched.ForWorkers(4)
+	t.Cleanup(pool.Close)
 	for _, tc := range []struct {
 		name string
 		ro   RunOptions
@@ -101,10 +103,10 @@ func TestIncrementalBitIdentical(t *testing.T) {
 		{"seq", RunOptions{}},
 		// A 4-worker pool; the abstract engine runs on sched.DepRounds.
 		// (The name predates the deleted leveled rounds.)
-		{"leveled4", RunOptions{Workers: 4}},
+		{"leveled4", RunOptions{Pool: pool}},
 		// RunOptions.Sched is ignored: both values run the same
 		// executor, bit-identical to scratch.
-		{"dep4", RunOptions{Workers: 4, Sched: sched.DepDriven}},
+		{"dep4", RunOptions{Pool: pool, Sched: sched.DepDriven}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inc := NewIncremental(tc.ro, nil)
@@ -209,7 +211,9 @@ func TestCacheHitReplaysScratchCounters(t *testing.T) {
 			func(src string, ro RunOptions) { Explore(lang.MustParse(src), ro) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ro := RunOptions{Reduction: explore.Stubborn, Workers: 4}
+			pool := sched.ForWorkers(4)
+			t.Cleanup(pool.Close)
+			ro := RunOptions{Reduction: explore.Stubborn, Pool: pool}
 			if _, hit := c.Do(context.Background(), tc.job(tc.first, ro)); hit {
 				t.Fatal("cold lookup hit")
 			}

@@ -6,6 +6,8 @@ import (
 	"psa/internal/absdom"
 	"psa/internal/abssem"
 	"psa/internal/explore"
+	"psa/internal/metrics"
+	"psa/internal/sched"
 )
 
 // TestKeyGolden pins the exact cache-key strings Key and AbstractKey
@@ -54,11 +56,13 @@ func TestKeyGolden(t *testing.T) {
 	}
 
 	// Execution-only fields must never leak into either key.
-	exec := RunOptions{Workers: 7}
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	exec := RunOptions{Pool: pool, Metrics: metrics.New()}
 	if exec.Key() != (RunOptions{}).Key() {
-		t.Error("Workers leaked into Key()")
+		t.Error("Pool/Metrics leaked into Key()")
 	}
-	if AbstractKey(abssem.Options{Workers: 7}) != AbstractKey(abssem.Options{}) {
-		t.Error("Workers leaked into AbstractKey()")
+	if AbstractKey(abssem.Options{Pool: pool, Metrics: metrics.New()}) != AbstractKey(abssem.Options{}) {
+		t.Error("Pool/Metrics leaked into AbstractKey()")
 	}
 }

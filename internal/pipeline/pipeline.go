@@ -22,8 +22,8 @@
 // Cache (cache.go) is the one store of engine results, shared by the
 // service and core.Analyzer. Its keys end in RunOptions.Key or
 // AbstractKey, which cover exactly the fields that can change results
-// and exclude the execution-only fields (Workers, Pool, Metrics) that
-// the engines' determinism contract guarantees never do.
+// and exclude the execution-only fields (Pool, Metrics) that the
+// engines' determinism contract guarantees never do.
 //
 // # Key stability contract
 //
@@ -58,27 +58,29 @@ import (
 // option structs; derive them via ExploreOptions/AbstractOptions and set
 // the extras on the result.
 //
-// The zero value is the historical default: full reduction, one
-// goroutine, default caps, fingerprinted visited set, no
-// instrumentation.
+// The zero value is the historical default: full reduction, inline
+// on the caller's goroutine, default caps, fingerprinted visited set,
+// no instrumentation.
 type RunOptions struct {
 	// Reduction selects full or stubborn-set expansion for concrete
 	// exploration (default Full).
 	Reduction explore.Reduction
 	// Coarsen enables virtual coarsening of non-critical runs.
 	Coarsen bool
-	// Workers is the number of goroutines both engines run their
-	// executor on: 0 or 1 runs it inline on the caller's goroutine, a
-	// negative count uses GOMAXPROCS. Results and deterministic counters
-	// are identical at any count.
+	// Workers is ignored: Pool alone decides how a run executes. The
+	// field stays only so existing callers (the perfbench harness)
+	// keep compiling; a caller that picks a width maps it to a pool
+	// with sched.ForWorkers.
 	Workers int
 	// Sched is ignored. Both engines run one parallel executor, the
 	// dependency-driven pipeline (DESIGN.md §7), so there is nothing to
 	// select; the field stays only so existing callers keep compiling.
 	Sched sched.Scheduler
-	// Pool is the shared scheduler pool multi-worker runs execute on;
-	// the caller keeps ownership. Nil lets each such run spin a private
-	// pool sized by Workers. Ignored when Workers is 0 or 1.
+	// Pool is the scheduler pool both engines run on, and the only
+	// execution setting: nil runs each engine inline on the caller's
+	// goroutine, a non-nil pool runs it on that pool's workers. The
+	// caller keeps ownership. Results and deterministic counters are
+	// identical on every pool.
 	Pool *sched.Pool
 	// MaxConfigs caps distinct configurations: explore.Options.MaxConfigs
 	// for concrete runs, abssem.Options.MaxStates for abstract ones
@@ -98,7 +100,6 @@ func (o RunOptions) ExploreOptions() explore.Options {
 	return explore.Options{
 		Reduction:  o.Reduction,
 		Coarsen:    o.Coarsen,
-		Workers:    o.Workers,
 		Pool:       o.Pool,
 		MaxConfigs: o.MaxConfigs,
 		ExactKeys:  o.ExactKeys,
@@ -112,7 +113,6 @@ func (o RunOptions) ExploreOptions() explore.Options {
 // its own folding).
 func (o RunOptions) AbstractOptions() abssem.Options {
 	return abssem.Options{
-		Workers:   o.Workers,
 		Pool:      o.Pool,
 		MaxStates: o.MaxConfigs,
 		Metrics:   o.Metrics,
@@ -121,7 +121,7 @@ func (o RunOptions) AbstractOptions() abssem.Options {
 
 // Strategy returns a copy with the concrete reduction settings replaced —
 // the per-call-site override experiment sweeps use while inheriting
-// workers, pool, caps, key mode, and metrics from the threaded options.
+// pool, caps, key mode, and metrics from the threaded options.
 func (o RunOptions) Strategy(red explore.Reduction, coarsen bool) RunOptions {
 	o.Reduction = red
 	o.Coarsen = coarsen
@@ -140,8 +140,8 @@ func (o RunOptions) Key() string {
 
 // AbstractKey is the canonical cache key of an abstract run: the
 // normalized result-relevant fields of abssem.Options, excluding the
-// execution-only Workers/Pool/Metrics (bit-identical at any worker
-// count by the engine's contract). Options that normalize equal — e.g.
+// execution-only Pool/Metrics (bit-identical on every pool by the
+// engine's contract). Options that normalize equal — e.g.
 // KBirth 0 and KBirth 2 — share one key.
 func AbstractKey(o abssem.Options) string {
 	n := o.Normalized()

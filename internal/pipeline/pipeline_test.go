@@ -62,7 +62,7 @@ func TestMultiSinkBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers%d", name, workers), func(t *testing.T) {
 				pool := sched.ForWorkers(workers)
 				defer pool.Close()
-				ro := RunOptions{Workers: workers, Pool: pool}
+				ro := RunOptions{Pool: pool}
 
 				// Reference: each sink in its own traversal.
 				want := make([]*recSink, nSinks)
@@ -162,36 +162,37 @@ func TestRunOptionsMapping(t *testing.T) {
 	ro := RunOptions{
 		Reduction:  explore.Stubborn,
 		Coarsen:    true,
-		Workers:    3,
 		Pool:       pool,
 		MaxConfigs: 1234,
 		ExactKeys:  true,
 		Metrics:    m,
 	}
 	eo := ro.ExploreOptions()
-	if eo.Reduction != explore.Stubborn || !eo.Coarsen || eo.Workers != 3 ||
+	if eo.Reduction != explore.Stubborn || !eo.Coarsen ||
 		eo.Pool != pool || eo.MaxConfigs != 1234 || !eo.ExactKeys || eo.Metrics != m {
 		t.Errorf("ExploreOptions mapping lost a field: %+v", eo)
 	}
 	ao := ro.AbstractOptions()
-	if ao.Workers != 3 || ao.Pool != pool || ao.MaxStates != 1234 || ao.Metrics != m {
+	if ao.Pool != pool || ao.MaxStates != 1234 || ao.Metrics != m {
 		t.Errorf("AbstractOptions mapping lost a field: %+v", ao)
 	}
 	st := ro.Strategy(explore.Full, false)
-	if st.Reduction != explore.Full || st.Coarsen || st.Workers != 3 || st.MaxConfigs != 1234 {
+	if st.Reduction != explore.Full || st.Coarsen || st.Pool != pool || st.MaxConfigs != 1234 {
 		t.Errorf("Strategy must replace only reduction settings: %+v", st)
 	}
 }
 
 // Cache keys must cover result-relevant fields and ignore execution-only
-// ones (Workers/Pool/Metrics — bit-identical by the engines' contract).
+// ones (Pool/Metrics — bit-identical by the engines' contract).
 func TestCacheKeys(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
 	base := RunOptions{Reduction: explore.Stubborn, Coarsen: true, MaxConfigs: 99}
 	same := base
-	same.Workers = 8
+	same.Pool = pool
 	same.Metrics = metrics.New()
 	if base.Key() != same.Key() {
-		t.Errorf("Key must ignore Workers/Metrics: %q vs %q", base.Key(), same.Key())
+		t.Errorf("Key must ignore Pool/Metrics: %q vs %q", base.Key(), same.Key())
 	}
 	diff := base
 	diff.ExactKeys = true
@@ -202,8 +203,8 @@ func TestCacheKeys(t *testing.T) {
 	// Abstract keys normalize: zero limits equal their defaults, negative
 	// limits equal the explicit boundary 0, and the execution-only fields
 	// drop out.
-	if AbstractKey(abssem.Options{}) != AbstractKey(abssem.Options{KBirth: 2, RecLimit: 3, WidenAfter: 4, Workers: 4}) {
-		t.Error("AbstractKey must normalize defaults and ignore Workers")
+	if AbstractKey(abssem.Options{}) != AbstractKey(abssem.Options{KBirth: 2, RecLimit: 3, WidenAfter: 4, Pool: pool}) {
+		t.Error("AbstractKey must normalize defaults and ignore Pool")
 	}
 	if AbstractKey(abssem.Options{KBirth: -1}) == AbstractKey(abssem.Options{}) {
 		t.Error("AbstractKey must distinguish KBirth 0 (negative request) from the default")

@@ -8,9 +8,9 @@
 //   - One pool, many runs. Every analysis executes on the service's
 //     shared sched.Pool; concurrent submissions interleave on the same
 //     persistent workers instead of spawning goroutines per request.
-//     Workers are server-side, execution-only configuration — by the
-//     engines' determinism contract they never change results, so they
-//     are not part of a request.
+//     The pool is server-side, execution-only configuration — by the
+//     engines' determinism contract it never changes results, so it is
+//     not part of a request.
 //
 //   - One cache, keyed by content. A request is parsed first (a parse
 //     error is a 400 and starts nothing) and becomes a pipeline.Job,
@@ -56,7 +56,7 @@ type Request struct {
 	// the default) or "abstract" (the abstract fixpoint engine).
 	Analysis string `json:"analysis,omitempty"`
 	// Options are the result-relevant run options. Execution-only
-	// configuration (workers) is server-side.
+	// configuration (the pool) is server-side.
 	Options Options `json:"options,omitempty"`
 	// Base is ignored. It named the version an abstract request edits;
 	// the result cache now keys abstract runs on the program hash, so an
@@ -147,8 +147,8 @@ type Stats struct {
 
 // Config configures a Service.
 type Config struct {
-	// Workers sizes the shared pool both engines run on (0/1
-	// sequential, negative GOMAXPROCS).
+	// Workers sizes the shared pool both engines run on, through
+	// sched.ForWorkers (0/1 inline, negative GOMAXPROCS).
 	Workers int
 	// MaxBody caps the request body in bytes (default 1 MiB).
 	MaxBody int64
@@ -403,7 +403,6 @@ func (s *Service) job(req *Request) (pipeline.Job, *metrics.Registry, error) {
 	ro := pipeline.RunOptions{
 		Reduction:  red,
 		Coarsen:    req.Options.Coarsen,
-		Workers:    s.cfg.Workers,
 		Pool:       s.pool,
 		MaxConfigs: req.Options.MaxConfigs,
 		ExactKeys:  req.Options.ExactKeys,
