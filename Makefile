@@ -84,7 +84,7 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Parallel|Dep|Claim|Scratch' ./internal/explore ./internal/sched
-	$(GO) test -race -count=10 -run 'Parallel|Dep' ./internal/abssem
+	$(GO) test -race -count=10 -run 'Parallel|Dep|Verdict|Scratch' ./internal/abssem
 
 # One iteration of every benchmark plus the paperbench regression gate —
 # the CI bench-smoke job.

@@ -7,8 +7,8 @@
 //  2. reduction: stubborn-set reduction and virtual coarsening preserve
 //     the terminal store set of full exploration;
 //  3. parallel: both engines report bit-identical results on pools of
-//     1, 4, and GOMAXPROCS workers (sched.ForWorkers; width 1 is
-//     inline);
+//     1, 4, and GOMAXPROCS workers (width 1 is a one-worker pool, so
+//     every arm runs the pool path) against the inline run;
 //  4. fingerprint: the 128-bit fingerprinted visited set and the exact
 //     canonical-key visited set agree on state counts and terminals.
 //
@@ -16,9 +16,9 @@
 // each seed's program becomes the base of an N-step random edit chain
 // (progen.Mutate), and every version is checked for bit-identity —
 // Result digest and deterministic counters — between from-scratch
-// analysis and three persistent incremental sessions (on pools of
-// 0/1/4 workers) that each carry their previous result across the
-// chain.
+// analysis and three persistent incremental sessions (inline, and on
+// pools of 1 and 4 workers) that each carry their previous result
+// across the chain.
 //
 // Programs whose exploration hits the configuration cap are skipped (the
 // oracles need complete answers). On divergence the failing program is
@@ -91,10 +91,12 @@ type failure struct {
 
 var oracleNames = []string{"soundness", "reduction", "parallel", "fingerprint"}
 
-// widthPool pairs a worker count an oracle checks with the pool
-// sched.ForWorkers maps it to (nil, so inline, for 0 and 1). The pools
-// live for the whole run, so the shrinker's predicates replay a
-// divergence on the same pool that showed it.
+// widthPool pairs a worker count an oracle checks with the pool it runs
+// on: nil (inline) for 0, a real one-worker pool for 1 — which runs the
+// pool path, copy-shell joins included, where sched.ForWorkers(1) would
+// run inline — and sched.ForWorkers(w) otherwise. The pools live for the
+// whole run, so the shrinker's predicates replay a divergence on the
+// same pool that showed it.
 type widthPool struct {
 	workers int
 	pool    *sched.Pool
@@ -103,7 +105,11 @@ type widthPool struct {
 func widthPools(widths ...int) []widthPool {
 	out := make([]widthPool, len(widths))
 	for i, w := range widths {
-		out[i] = widthPool{w, sched.ForWorkers(w)}
+		pool := sched.ForWorkers(w)
+		if w == 1 {
+			pool = sched.NewPool(1)
+		}
+		out[i] = widthPool{w, pool}
 	}
 	return out
 }

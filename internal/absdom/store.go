@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"psa/internal/arena"
 )
 
 // Store is the abstract shared store: one abstract value per global and
@@ -51,27 +53,37 @@ func (s *Store) Load(t Target) Value {
 
 // SetGlobal strongly updates global i (one concrete cell per global, so
 // strong updates are sound when exactly one target is possible).
-func (s *Store) SetGlobal(i int, v Value) *Store {
-	ns := s.shallow()
-	ns.globals = append([]Value(nil), s.globals...)
+func (s *Store) SetGlobal(i int, v Value) *Store { return s.SetGlobalIn(nil, i, v) }
+
+// SetGlobalIn is SetGlobal with the new store built in sc.
+func (s *Store) SetGlobalIn(sc *Scratch, i int, v Value) *Store {
+	ns := s.shallowIn(sc)
+	ns.globals = sc.values(len(s.globals))
+	copy(ns.globals, s.globals)
 	ns.globals[i] = v
 	return ns
 }
 
 // JoinGlobal weakly updates global i.
-func (s *Store) JoinGlobal(i int, v Value) *Store {
-	return s.SetGlobal(i, s.globals[i].Join(v))
+func (s *Store) JoinGlobal(i int, v Value) *Store { return s.joinGlobalIn(nil, i, v) }
+
+func (s *Store) joinGlobalIn(sc *Scratch, i int, v Value) *Store {
+	return s.SetGlobalIn(sc, i, s.globals[i].Join(v))
 }
 
 // JoinHeap weakly updates the abstract object (heap summaries stand for
 // many concrete cells, so updates are always weak).
-func (s *Store) JoinHeap(t Target, v Value) *Store {
+func (s *Store) JoinHeap(t Target, v Value) *Store { return s.JoinHeapIn(nil, t, v) }
+
+// JoinHeapIn is JoinHeap with the new store built in sc. The heap map
+// itself is always fresh heap memory.
+func (s *Store) JoinHeapIn(sc *Scratch, t Target, v Value) *Store {
 	old := s.Heap(t)
 	nv := old.Join(v)
 	if nv.Eq(old) {
 		return s
 	}
-	ns := s.shallow()
+	ns := s.shallowIn(sc)
 	ns.heap = make(map[Target]Value, len(s.heap)+1)
 	for k, w := range s.heap {
 		ns.heap[k] = w
@@ -84,9 +96,14 @@ func (s *Store) JoinHeap(t Target, v Value) *Store {
 // set is a single global, weak updates otherwise. A ⊤ points-to set
 // clobbers every global and every known heap summary.
 func (s *Store) WriteTargets(ts []Target, all bool, v Value) *Store {
+	return s.WriteTargetsIn(nil, ts, all, v)
+}
+
+// WriteTargetsIn is WriteTargets with the new store built in sc.
+func (s *Store) WriteTargetsIn(sc *Scratch, ts []Target, all bool, v Value) *Store {
 	if all {
-		ns := s.shallow()
-		ns.globals = make([]Value, len(s.globals))
+		ns := s.shallowIn(sc)
+		ns.globals = sc.values(len(s.globals))
 		for i := range s.globals {
 			ns.globals[i] = s.globals[i].Join(v)
 		}
@@ -97,21 +114,66 @@ func (s *Store) WriteTargets(ts []Target, all bool, v Value) *Store {
 		return ns
 	}
 	if len(ts) == 1 && !ts[0].Heap {
-		return s.SetGlobal(ts[0].Index, v)
+		return s.SetGlobalIn(sc, ts[0].Index, v)
 	}
 	out := s
 	for _, t := range ts {
 		if t.Heap {
-			out = out.JoinHeap(t, v)
+			out = out.JoinHeapIn(sc, t, v)
 		} else {
-			out = out.JoinGlobal(t.Index, v)
+			out = out.joinGlobalIn(sc, t.Index, v)
 		}
 	}
 	return out
 }
 
-func (s *Store) shallow() *Store {
-	return &Store{dom: s.dom, globals: s.globals, heap: s.heap}
+func (s *Store) shallowIn(sc *Scratch) *Store {
+	ns := sc.store()
+	*ns = Store{dom: s.dom, globals: s.globals, heap: s.heap}
+	return ns
+}
+
+// Scratch is reusable storage for stores that are likely to be thrown
+// away: the abstract engine steps a successor's store writes into one
+// and copies the store out only if the successor creates a state. A store built
+// in a Scratch (the *In methods) is immutable like every other, but its
+// Store and its globals live in memory the next Reset recycles, so
+// nothing may keep such a store, or a value slice read from it, past
+// that point; Own is the way out. Heap maps are never scratch memory. A
+// nil *Scratch builds on the heap. A Scratch is not safe for concurrent
+// use; the zero value is ready to use.
+type Scratch struct {
+	stores arena.Arena[Store]
+	vals   arena.Arena[Value]
+}
+
+// Reset makes the scratch's storage available again.
+func (sc *Scratch) Reset() {
+	sc.stores.Reset()
+	sc.vals.Reset()
+}
+
+func (sc *Scratch) store() *Store {
+	if sc == nil {
+		return new(Store)
+	}
+	return sc.stores.One()
+}
+
+func (sc *Scratch) values(n int) []Value {
+	if sc == nil {
+		return make([]Value, n)
+	}
+	return sc.vals.Take(n, n)
+}
+
+// Own returns a store equal to s built on the heap: a Store and globals
+// of its own, sharing s's heap map. It copies a store built in a Scratch
+// out before the scratch is reset.
+func (s *Store) Own() *Store {
+	ns := &Store{dom: s.dom, globals: make([]Value, len(s.globals)), heap: s.heap}
+	copy(ns.globals, s.globals)
+	return ns
 }
 
 // Clone returns a store equal to s that shares no slice or map structure

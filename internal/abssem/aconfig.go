@@ -113,37 +113,39 @@ type AConfig struct {
 type ctrlSig string
 
 // signature computes the fold key.
-func (c *AConfig) signature() ctrlSig {
-	var b strings.Builder
+func (c *AConfig) signature() ctrlSig { return ctrlSig(c.appendSignature(nil)) }
+
+// appendSignature appends the fold key's bytes to b. Expansion writes
+// every successor's key into one reused buffer and looks it up without
+// making a string (see stateTable.get).
+func (c *AConfig) appendSignature(b []byte) []byte {
 	for _, p := range c.Procs {
-		b.WriteString(p.Path)
-		b.WriteByte(':')
-		b.WriteByte(byte('0' + p.Status))
-		b.WriteString(strconv.Itoa(p.LiveKids))
-		b.WriteByte('*')
-		b.WriteString(strconv.Itoa(clanAbstract(p.Clan)))
+		b = append(b, p.Path...)
+		b = append(b, ':', byte('0'+p.Status))
+		b = strconv.AppendInt(b, int64(p.LiveKids), 10)
+		b = append(b, '*')
+		b = strconv.AppendInt(b, int64(clanAbstract(p.Clan)), 10)
 		for _, f := range p.Frames {
-			b.WriteString("|f")
-			b.WriteString(strconv.Itoa(f.Fn.Index))
-			b.WriteByte(',')
-			b.WriteByte(byte('0' + f.Dest.kind))
+			b = append(b, "|f"...)
+			b = strconv.AppendInt(b, int64(f.Fn.Index), 10)
+			b = append(b, ',', byte('0'+f.Dest.kind))
 			if f.Dest.kind == destLocal {
-				b.WriteString(strconv.Itoa(f.Dest.slot))
+				b = strconv.AppendInt(b, int64(f.Dest.slot), 10)
 			}
 			for _, bp := range f.Blocks {
-				b.WriteString(";")
-				b.WriteString(strconv.Itoa(int(bp.block.NodeID())))
-				b.WriteByte('.')
-				b.WriteString(strconv.Itoa(bp.idx))
+				b = append(b, ';')
+				b = strconv.AppendInt(b, int64(bp.block.NodeID()), 10)
+				b = append(b, '.')
+				b = strconv.AppendInt(b, int64(bp.idx), 10)
 			}
 			if f.Pending != nil {
-				b.WriteString(";!")
-				b.WriteString(strconv.Itoa(int(f.Pending.stmt)))
+				b = append(b, ";!"...)
+				b = strconv.AppendInt(b, int64(f.Pending.stmt), 10)
 			}
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return ctrlSig(b.String())
+	return b
 }
 
 // clanAbstract folds concrete multiplicities into {0, 1, ω(=2)}.
@@ -156,45 +158,12 @@ func clanAbstract(n int) int {
 
 // clone copies the configuration shell: a new Procs slice whose
 // processes are shared with c.
-func (c *AConfig) clone() *AConfig {
-	nc := &AConfig{Store: c.Store, MayError: c.MayError}
-	nc.Procs = make([]*AProc, len(c.Procs))
-	for i, p := range c.Procs {
-		nc.Procs[i] = p
-	}
-	return nc
-}
+func (c *AConfig) clone() *AConfig { return (*aScratch)(nil).shell(c) }
 
-// cloneProcIn replaces process i of c with a private copy — frames,
+// cloneProcIn replaces process i of c with a private heap copy — frames,
 // locals, control stack and pending write copied, arm data shared — and
 // returns the copy, which the caller may then mutate.
-func cloneProcIn(c *AConfig, i int) *AProc {
-	p := c.Procs[i]
-	np := &AProc{
-		Path:       p.Path,
-		Status:     p.Status,
-		Parent:     p.Parent,
-		LiveKids:   p.LiveKids,
-		Clan:       p.Clan,
-		ArmBlock:   p.ArmBlock,
-		ArmFn:      p.ArmFn,
-		InitLocals: p.InitLocals,
-	}
-	np.PStr = append([]pstring.Sym(nil), p.PStr...)
-	np.Frames = make([]*AFrame, len(p.Frames))
-	for j, f := range p.Frames {
-		nf := &AFrame{Fn: f.Fn, Dest: f.Dest, hasEntry: f.hasEntry}
-		nf.Locals = append([]absdom.Value(nil), f.Locals...)
-		nf.Blocks = append([]blockPos(nil), f.Blocks...)
-		if f.Pending != nil {
-			pc := *f.Pending
-			nf.Pending = &pc
-		}
-		np.Frames[j] = nf
-	}
-	c.Procs[i] = np
-	return np
-}
+func cloneProcIn(c *AConfig, i int) *AProc { return (*aScratch)(nil).copyProcIn(c, i) }
 
 // joinInto joins the value state of src into dst (same control
 // skeleton) and returns the configuration holding the join, or nil when
@@ -202,89 +171,159 @@ func cloneProcIn(c *AConfig, i int) *AProc {
 // of joining.
 //
 // Every component is tested src ⊑ dst first and joined only when that
-// fails. A join or widening of something not below dst is an upper bound
-// that differs from dst, so the failed test alone decides "changed"; and
-// when the test holds, a ⊔ b = a and a ∇ b = a (the widening law
-// absdom's tests pin), so skipping the join leaves dst exactly as the
-// join would. In a converging fixpoint most joins add nothing, and then
-// joinInto allocates nothing.
+// fails (see joinWalk). A join or widening of something not below dst is
+// an upper bound that differs from dst, so the failed test alone decides
+// "changed"; and when the test holds, a ⊔ b = a and a ∇ b = a (the
+// widening law absdom's tests pin), so skipping the join leaves dst
+// exactly as the join would. In a converging fixpoint most joins add
+// nothing, and then joinInto allocates nothing; it returns nil exactly
+// when dst.absorbs(src).
 //
 // dst is a stored state, whose processes may be shared with other states
 // (see aState), so a process is copied with cloneProcIn before its first
 // write and the shared original is left as it was. Without copyShell the
 // join goes into dst itself and dst is returned. With copyShell, dst may
-// be under a concurrent expansion and is never written: the first write
+// be under a concurrent read and is never written: the first write
 // copies dst's shell (its Procs slice, Store and MayError), the join goes
 // into the copy, and the copy is returned.
 func (dst *AConfig) joinInto(src *AConfig, widen, copyShell bool) *AConfig {
-	var out *AConfig // the configuration written, made on the first write
-	shell := func() *AConfig {
-		if out == nil {
-			out = dst
-			if copyShell {
-				out = dst.clone()
-			}
-		}
-		return out
-	}
-	jv := func(a, b absdom.Value) absdom.Value {
-		if widen {
-			return a.Widen(b)
-		}
-		return a.Join(b)
-	}
+	j := joiner{dst: dst, widen: widen, copyShell: copyShell, ownAt: -1}
+	dst.joinWalk(src, &j)
+	return j.out
+}
+
+// absorbs reports src ⊑ dst (same control skeleton), with MayError part
+// of the order: exactly the case in which dst.joinInto(src, …) changes
+// nothing and returns nil, for either widen. It reads both
+// configurations and writes neither, and allocates nothing.
+func (dst *AConfig) absorbs(src *AConfig) bool { return dst.joinWalk(src, nil) }
+
+// joinWalk is the one walk behind joinInto and absorbs. It visits src
+// against dst in a fixed order — per process (skipping one process the
+// two share), per frame its locals, pending value, pending dest and
+// dest; then the store and MayError — and hands each component of src
+// that is not below dst's to j, which joins it in. With j nil it stops at
+// the first such component instead and reports false, so it reports
+// true exactly when src ⊑ dst.
+func (dst *AConfig) joinWalk(src *AConfig, j *joiner) bool {
 	for i, p := range dst.Procs {
 		q := src.Procs[i]
 		if p == q {
 			continue // one shared process: nothing to join
 		}
-		var own *AProc // the written configuration's copy of p, made on the first write
-		frame := func(j int) *AFrame {
-			if own == nil {
-				own = cloneProcIn(shell(), i)
-			}
-			return own.Frames[j]
-		}
-		for j, f := range p.Frames {
-			g := q.Frames[j]
-			for k, v := range g.Locals {
-				if !v.Leq(f.Locals[k]) {
-					frame(j).Locals[k] = jv(f.Locals[k], v)
+		for k, f := range p.Frames {
+			g := q.Frames[k]
+			for l, v := range g.Locals {
+				if !v.Leq(f.Locals[l]) {
+					if j == nil {
+						return false
+					}
+					j.frame(i, k).Locals[l] = j.join(f.Locals[l], v)
 				}
 			}
 			if f.Pending != nil && g.Pending != nil {
 				if !g.Pending.val.Leq(f.Pending.val) {
-					frame(j).Pending.val = jv(f.Pending.val, g.Pending.val)
+					if j == nil {
+						return false
+					}
+					j.frame(i, k).Pending.val = j.join(f.Pending.val, g.Pending.val)
 				}
-				if d, ok := mergeDest(f.Pending.dest, g.Pending.dest); ok {
-					frame(j).Pending.dest = d
+				if !destBelow(g.Pending.dest, f.Pending.dest) {
+					if j == nil {
+						return false
+					}
+					j.frame(i, k).Pending.dest, _ = mergeDest(f.Pending.dest, g.Pending.dest)
 				}
 			}
-			if d, ok := mergeDest(f.Dest, g.Dest); ok {
-				frame(j).Dest = d
+			if !destBelow(g.Dest, f.Dest) {
+				if j == nil {
+					return false
+				}
+				j.frame(i, k).Dest, _ = mergeDest(f.Dest, g.Dest)
 			}
 		}
 	}
 	if !src.Store.Leq(dst.Store) {
-		if widen {
-			shell().Store = dst.Store.Widen(src.Store)
+		if j == nil {
+			return false
+		}
+		if j.widen {
+			j.shell().Store = dst.Store.Widen(src.Store)
 		} else {
-			shell().Store = dst.Store.Join(src.Store)
+			j.shell().Store = dst.Store.Join(src.Store)
 		}
 	}
 	if src.MayError && !dst.MayError {
-		shell().MayError = true
+		if j == nil {
+			return false
+		}
+		j.shell().MayError = true
 	}
-	return out
+	return true
 }
 
-// mergeDest unions the target sets of two dests with the same kind and
-// reports whether d grew. The grown dest gets a fresh target slice: d.ts
-// may share its backing array with the dest of another frame (frame
-// copies copy dests by value), so appending to it in place could
-// overwrite a target that frame still holds.
-func mergeDest(d, o aDest) (aDest, bool) {
+// joiner is joinInto's side of joinWalk: the configuration written (out,
+// made on the first write) and the copy of the process being written.
+type joiner struct {
+	dst, out         *AConfig
+	widen, copyShell bool
+	own              *AProc // out's private copy of process ownAt
+	ownAt            int
+}
+
+func (j *joiner) shell() *AConfig {
+	if j.out == nil {
+		j.out = j.dst
+		if j.copyShell {
+			j.out = j.dst.clone()
+		}
+	}
+	return j.out
+}
+
+// frame returns frame k of the written configuration's copy of process
+// i, copying the process on its first write. joinWalk visits processes
+// in order, so a process left behind is never written again.
+func (j *joiner) frame(i, k int) *AFrame {
+	if j.own == nil || j.ownAt != i {
+		j.own, j.ownAt = cloneProcIn(j.shell(), i), i
+	}
+	return j.own.Frames[k]
+}
+
+func (j *joiner) join(a, b absdom.Value) absdom.Value {
+	if j.widen {
+		return a.Widen(b)
+	}
+	return a.Join(b)
+}
+
+// destBelow reports whether joining o into d (same kind) leaves d as it
+// is: only target dests carry value state, and o's targets must already
+// be d's (o's ⊤ flag only when d has it too).
+func destBelow(o, d aDest) bool {
 	if d.kind != destTargets {
+		return true
+	}
+	if o.all && !d.all {
+		return false
+	}
+	for _, t := range o.ts {
+		if !slices.Contains(d.ts, t) {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeDest joins o into d and reports whether d grew (exactly when
+// !destBelow(o, d)): a ⊤ flag d lacks is added on its own, and otherwise
+// o's new targets are, in target order. The grown dest gets a fresh target slice: d.ts may share its backing
+// array with the dest of another frame (frame copies copy dests by
+// value), so appending to it in place could overwrite a target that
+// frame still holds.
+func mergeDest(d, o aDest) (aDest, bool) {
+	if destBelow(o, d) {
 		return d, false
 	}
 	if o.all && !d.all {
@@ -297,13 +336,26 @@ func mergeDest(d, o aDest) (aDest, bool) {
 			ts = append(ts, t)
 		}
 	}
-	if ts == nil {
-		return d, false
-	}
 	ts = append(ts, d.ts...)
-	sort.Slice(ts, func(i, j int) bool { return ts[i].String() < ts[j].String() })
-	d.ts = ts
+	d.ts = sortTargets(ts)
 	return d, true
+}
+
+// sortTargets sorts ts by rendered name, formatting each target once
+// rather than in every comparison.
+func sortTargets(ts []absdom.Target) []absdom.Target {
+	keyed := make([]struct {
+		key string
+		t   absdom.Target
+	}, len(ts))
+	for i, t := range ts {
+		keyed[i].key, keyed[i].t = t.String(), t
+	}
+	sort.Slice(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
+	for i := range keyed {
+		ts[i] = keyed[i].t
+	}
+	return ts
 }
 
 func (c *AConfig) procIndex(path string) int {
@@ -322,8 +374,13 @@ func (c *AConfig) insertSorted(p *AProc) {
 	c.Procs[i] = p
 }
 
+// removeAt drops process i in place; c's shell must be the caller's own,
+// as a stepper's is.
 func (c *AConfig) removeAt(i int) {
-	c.Procs = append(c.Procs[:i:i], c.Procs[i+1:]...)
+	n := len(c.Procs) - 1
+	copy(c.Procs[i:], c.Procs[i+1:])
+	c.Procs[n] = nil
+	c.Procs = c.Procs[:n]
 }
 
 // nextStmt returns the next statement of p (nil when exhausted).
@@ -347,14 +404,16 @@ func hasPending(p *AProc) bool {
 }
 
 // enabled returns the indices of processes with transitions.
-func (c *AConfig) enabled() []int {
-	var out []int
+func (c *AConfig) enabled() []int { return c.appendEnabled(nil) }
+
+// appendEnabled appends the indices of processes with transitions to b.
+func (c *AConfig) appendEnabled(b []int) []int {
 	for i, p := range c.Procs {
 		if p.Status == Running && (hasPending(p) || nextStmt(p) != nil) {
-			out = append(out, i)
+			b = append(b, i)
 		}
 	}
-	return out
+	return b
 }
 
 // String renders the abstract configuration for diagnostics.

@@ -109,7 +109,7 @@ func (st *astepper) eval(s lang.Stmt, e lang.Expr) (absdom.Value, bool) {
 			Birth: pstring.AbstractSyms(st.proc.PStr, st.sc.kBirth),
 		}
 		// Fresh cells are undefined; the summary covers them weakly.
-		st.cfg.Store = st.cfg.Store.JoinHeap(t, absdom.OfUndef(d))
+		st.cfg.Store = st.cfg.Store.JoinHeapIn(st.scr.stores(), t, absdom.OfUndef(d))
 		return absdom.OfPtr(d, t), true
 	}
 	return absdom.Bot(st.sc.dom), false

@@ -191,12 +191,12 @@ func (r *Result) GlobalInvariant(name string) (absdom.Value, bool) {
 //
 // Ownership rule: a stored *AProc (and every frame and pending write it
 // holds) is never mutated in place. A new state stores the successor
-// configuration itself, which shares its unchanged processes with the
-// state it was stepped from, and joinInto copies a process with
-// cloneProcIn before it writes to it. Only the AConfig shell — its Procs
-// slice, Store and MayError — belongs to the state alone, and while the
-// state has a queued task even that is replaced rather than written
-// (see analyzeParallel).
+// configuration (committed out of the expansion's scratch), which shares
+// its unchanged processes with the state it was stepped from, and
+// joinInto copies a process with cloneProcIn before it writes to it.
+// Only the AConfig shell — its Procs slice, Store and MayError — belongs
+// to the state alone, and on a pool even that is replaced rather than
+// written (see analyzeParallel).
 type aState struct {
 	// cfg is the state's current configuration: loaded by expansions
 	// on any goroutine, stored only by the merge.
@@ -219,6 +219,12 @@ func newStepCtx(prog *lang.Program, opts Options) *stepCtx {
 	if opts.CollectFootprints {
 		sc.foot = &footRec{m: map[lang.NodeID]map[AbsAccess]bool{}}
 	}
+	ts := make([]absdom.Target, len(prog.Globals))
+	sc.globalTs = make([][]absdom.Target, len(ts))
+	for i := range ts {
+		ts[i].Index = i
+		sc.globalTs[i] = ts[i : i+1 : i+1]
+	}
 	return sc
 }
 
@@ -239,7 +245,8 @@ func AnalyzeContext(ctx context.Context, prog *lang.Program, opts Options) *Resu
 		ctx = context.Background()
 	}
 	opts.fill()
-	return analyzeParallel(ctx, prog, opts)
+	res, _ := analyzeParallel(ctx, newStepCtx(prog, opts), opts)
+	return res
 }
 
 // collect builds the client-facing views over the explored states: the

@@ -1,6 +1,7 @@
 package abssem
 
 import (
+	"slices"
 	"strconv"
 
 	"psa/internal/absdom"
@@ -19,6 +20,13 @@ type stepCtx struct {
 	recLim  int
 	clan    bool
 	foot    *footRec // non-nil when collecting abstract footprints
+	// globalTs[i] is the target set {global i}, shared by every dest
+	// that names global i (target sets are never written in place).
+	globalTs [][]absdom.Target
+	// onVerdict, when set, sees every successor expansion tests against
+	// a stored state, with the configuration it was tested against and
+	// the verdict. Tests use it; the engine leaves it nil.
+	onVerdict func(cfg, succ *AConfig, below bool)
 }
 
 // step computes all abstract successors of firing process pi in c. A
@@ -26,9 +34,27 @@ type stepCtx struct {
 // conditional, several callees of an indirect call). Abstract faults set
 // MayError on a successor-less branch, which the explorer records.
 func (sc *stepCtx) step(c *AConfig, pi int) []*AConfig {
-	base := c.clone()
-	p := cloneProcIn(base, pi)
-	st := &astepper{sc: sc, cfg: base, proc: p, cloned: map[string]bool{p.Path: true}}
+	var out []*AConfig
+	sc.run(nil, c, pi, &out)
+	return out
+}
+
+// stepIn is step with the written parts built in s: the successors are
+// s's until its reset (see aScratch), and commit copies one out. The
+// returned slice is reused by the next stepIn.
+func (sc *stepCtx) stepIn(s *aScratch, c *AConfig, pi int) []*AConfig {
+	s.out = s.out[:0]
+	sc.run(s, c, pi, &s.out)
+	return s.out
+}
+
+// run fires process pi of c with the written parts built in s (nil: on
+// the heap), appending the successors to out.
+func (sc *stepCtx) run(s *aScratch, c *AConfig, pi int, out *[]*AConfig) {
+	base := s.shell(c)
+	st := s.stepper()
+	*st = astepper{sc: sc, scr: s, parent: c, cfg: base, proc: s.copyProcIn(base, pi), out: out}
+	p := st.proc
 	if hasPending(p) {
 		st.curStmt = p.Frames[len(p.Frames)-1].Pending.stmt
 		st.commitPending()
@@ -37,17 +63,18 @@ func (sc *stepCtx) step(c *AConfig, pi int) []*AConfig {
 		st.curStmt = s.NodeID()
 		st.exec(s)
 	}
-	return st.out
 }
 
 // astepper executes one abstract transition; branching statements fork the
-// stepper state.
+// stepper state. Every fork of one transition appends to the same out, in
+// the order the branches finish.
 type astepper struct {
 	sc      *stepCtx
+	scr     *aScratch // storage for the parts the step writes; nil: the heap
+	parent  *AConfig  // the configuration being stepped, never written
 	cfg     *AConfig
 	proc    *AProc
-	cloned  map[string]bool
-	out     []*AConfig
+	out     *[]*AConfig
 	mayErr  bool
 	curStmt lang.NodeID // statement being executed (footprint attribution)
 }
@@ -63,48 +90,51 @@ func (st *astepper) bump() {
 func (st *astepper) emit() {
 	st.settle(st.proc)
 	st.cfg.MayError = st.cfg.MayError || st.mayErr
-	st.out = append(st.out, st.cfg)
+	*st.out = append(*st.out, st.cfg)
 }
 
 // emitError records that this branch may fault and produces no normal
 // successor; the paper's abstract semantics over-approximates the
 // non-error continuations, and the explorer reports MayError globally.
 func (st *astepper) emitError() {
-	errCfg := st.cfg.clone()
-	errCfg.MayError = true
-	errCfg.Procs = nil // no continuation; terminal error witness
-	st.out = append(st.out, errCfg)
+	errCfg := st.scr.config()
+	errCfg.Store, errCfg.MayError = st.cfg.Store, true
+	// errCfg.Procs stays nil: no continuation; terminal error witness.
+	*st.out = append(*st.out, errCfg)
 }
 
 // fork duplicates the stepper so one branch can continue independently
-// of another. The processes this stepper owns (st.cloned) are copied for
-// the fork; the rest stay shared with the state being stepped, and
-// mutProc copies them before either branch writes to them.
+// of another. The processes this stepper owns are copied for the fork;
+// the rest stay shared with the state being stepped, and mutProc copies
+// them before either branch writes to them.
 func (st *astepper) fork() *astepper {
-	nc := st.cfg.clone()
-	for path := range st.cloned {
-		if i := nc.procIndex(path); i >= 0 {
-			cloneProcIn(nc, i)
+	nc := st.scr.shell(st.cfg)
+	var proc *AProc
+	for i, p := range nc.Procs {
+		np := p
+		if st.owns(p) {
+			np = st.scr.copyProcIn(nc, i)
+		}
+		if p == st.proc {
+			proc = np
 		}
 	}
-	var proc *AProc
-	if pi := nc.procIndex(st.proc.Path); pi >= 0 {
-		proc = nc.Procs[pi]
-	}
-	n2 := &astepper{sc: st.sc, cfg: nc, proc: proc, cloned: map[string]bool{}, mayErr: st.mayErr, curStmt: st.curStmt}
-	for k := range st.cloned {
-		n2.cloned[k] = true
-	}
+	n2 := st.scr.stepper()
+	*n2 = astepper{sc: st.sc, scr: st.scr, parent: st.parent, cfg: nc, proc: proc,
+		out: st.out, mayErr: st.mayErr, curStmt: st.curStmt}
 	return n2
 }
 
+// owns reports whether p is this stepper's to write: a process the step
+// copied or created, which the parent does not hold.
+func (st *astepper) owns(p *AProc) bool { return !slices.Contains(st.parent.Procs, p) }
+
 func (st *astepper) mutProc(path string) *AProc {
 	i := st.cfg.procIndex(path)
-	if st.cloned[path] {
-		return st.cfg.Procs[i]
+	if p := st.cfg.Procs[i]; st.owns(p) {
+		return p
 	}
-	st.cloned[path] = true
-	return cloneProcIn(st.cfg, i)
+	return st.scr.copyProcIn(st.cfg, i)
 }
 
 // exec runs one abstract statement.
@@ -147,7 +177,7 @@ func (st *astepper) exec(s lang.Stmt) {
 			return
 		}
 		if st.splitWrite(s, dest) {
-			st.frame().Pending = &aPending{dest: dest, val: v, stmt: s.NodeID(), bump: true}
+			st.frame().Pending = st.scr.pending(aPending{dest: dest, val: v, stmt: s.NodeID(), bump: true})
 			st.emit()
 			return
 		}
@@ -255,7 +285,6 @@ func (st *astepper) branch(s lang.Stmt, mayTrue, mayFalse bool, apply func(*aste
 		st.emit()
 		apply(other, false)
 		other.emit()
-		st.out = append(st.out, other.out...)
 	case mayTrue:
 		apply(st, true)
 		st.emit()
@@ -320,7 +349,7 @@ func (st *astepper) destOf(s lang.Stmt, target lang.Expr) (aDest, bool) {
 		case lang.RefLocal:
 			return aDest{kind: destLocal, slot: t.Index}, true
 		case lang.RefGlobal:
-			return aDest{kind: destTargets, ts: []absdom.Target{{Index: t.Index}}}, true
+			return aDest{kind: destTargets, ts: st.sc.globalTs[t.Index]}, true
 		}
 		return aDest{}, false
 	case *lang.DerefExpr:
@@ -349,7 +378,7 @@ func (st *astepper) storeDest(dest aDest, v absdom.Value) {
 		st.frame().Locals[dest.slot] = v
 	case destTargets:
 		st.recordWrite(dest.ts, dest.all)
-		st.cfg.Store = st.cfg.Store.WriteTargets(dest.ts, dest.all, v)
+		st.cfg.Store = st.cfg.Store.WriteTargetsIn(st.scr.stores(), dest.ts, dest.all, v)
 	}
 }
 
@@ -374,7 +403,7 @@ func (st *astepper) call(s lang.Stmt, c *lang.CallExpr, dest aDest) {
 		st.emitError()
 		return
 	}
-	args := make([]absdom.Value, len(c.Args))
+	args := st.scr.values(len(c.Args))
 	for i, a := range c.Args {
 		v, ok := st.eval(s, a)
 		if !ok {
@@ -389,9 +418,6 @@ func (st *astepper) call(s lang.Stmt, c *lang.CallExpr, dest aDest) {
 			target = st.fork()
 		}
 		target.enter(s, fnIdx, args, dest)
-		if target != st {
-			st.out = append(st.out, target.out...)
-		}
 	}
 }
 
@@ -416,10 +442,11 @@ func (st *astepper) enter(s lang.Stmt, fnIdx int, args []absdom.Value, dest aDes
 		return
 	}
 	info := st.sc.prog.ResolvedInfo().Funcs[fn]
-	nf := &AFrame{
+	nf := st.scr.frame()
+	*nf = AFrame{
 		Fn:       fn,
-		Locals:   make([]absdom.Value, info.FrameSize),
-		Blocks:   []blockPos{{block: fn.Body, idx: 0}},
+		Locals:   st.scr.values(info.FrameSize),
+		Blocks:   append(st.scr.blockStack(0), blockPos{block: fn.Body, idx: 0}),
 		Dest:     dest,
 		hasEntry: true,
 	}
@@ -443,7 +470,7 @@ func (st *astepper) havoc(fn *lang.FuncDecl, dest aDest) {
 	store := st.cfg.Store
 	for gi, w := range sum.GW {
 		if w {
-			store = store.SetGlobal(gi, top)
+			store = store.SetGlobalIn(st.scr.stores(), gi, top)
 			st.recordWrite([]absdom.Target{{Index: gi}}, false)
 		}
 	}
@@ -453,7 +480,7 @@ func (st *astepper) havoc(fn *lang.FuncDecl, dest aDest) {
 		}
 	}
 	if sum.HW {
-		store = store.WriteTargets(nil, true, top)
+		store = store.WriteTargetsIn(st.scr.stores(), nil, true, top)
 		st.recordWrite(nil, true)
 	} else if sum.HR {
 		st.recordRead(nil, true)
@@ -480,7 +507,7 @@ func (st *astepper) ret(s lang.Stmt, v absdom.Value, hasValue bool) {
 		return
 	}
 	if split {
-		st.frame().Pending = &aPending{dest: f.Dest, val: v, stmt: s.NodeID(), bump: false}
+		st.frame().Pending = st.scr.pending(aPending{dest: f.Dest, val: v, stmt: s.NodeID(), bump: false})
 		st.emit()
 		return
 	}
@@ -543,7 +570,6 @@ func (st *astepper) forkArms(s *lang.CobeginStmt) {
 				hasEntry: true,
 			}},
 		}
-		st.cloned[child.Path] = true
 		st.cfg.insertSorted(child)
 		st.settle(child)
 	}
@@ -643,7 +669,7 @@ func (st *astepper) storeDestOn(p *AProc, dest aDest, v absdom.Value) {
 		f := p.Frames[len(p.Frames)-1]
 		f.Locals[dest.slot] = v
 	case destTargets:
-		st.cfg.Store = st.cfg.Store.WriteTargets(dest.ts, dest.all, v)
+		st.cfg.Store = st.cfg.Store.WriteTargetsIn(st.scr.stores(), dest.ts, dest.all, v)
 	}
 }
 
@@ -660,7 +686,7 @@ func (st *astepper) clanRespawn(p *AProc) {
 		hasEntry: true,
 	}}
 	alt.cfg.MayError = alt.cfg.MayError || alt.mayErr
-	st.out = append(st.out, alt.cfg)
+	*st.out = append(*st.out, alt.cfg)
 }
 
 // finish completes a process.

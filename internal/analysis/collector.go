@@ -152,26 +152,22 @@ func (cl *Collector) Transition(res *sem.StepResult) {
 		fk := footKey{loc: abs, kind: ev.Kind}
 
 		// Footprints: the executing statement plus every call site on the
-		// activation path is responsible for this access.
+		// activation path is responsible for this access. Side effects
+		// (§5.1): the access is a side effect of every activation on the
+		// path that did not create the object. One walk of the path, in
+		// place, serves both; all three are sets, so order is immaterial.
 		cl.addFootprint(ev.Stmt, fk)
-		for _, sym := range pstring.Syms(ev.PStr) {
-			if sym.Kind == pstring.SymCall {
-				cl.addFootprint(lang.NodeID(sym.Site), fk)
-				cl.fnSeen[sym.Which] = true
-			}
-		}
-
-		// Side effects (§5.1): the access is a side effect of every
-		// activation on the path that did not create the object.
-		for q := ev.PStr; q != nil; {
+		for q := ev.PStr; q != nil; q = pstring.Pop(q) {
 			sym, _ := pstring.Top(q)
-			if sym.Kind == pstring.SymCall {
-				local := ev.Loc.Space == sem.SpaceHeap && ev.Birth != nil && pstring.IsPrefix(q, ev.Birth)
-				if !local {
-					cl.addEffect(sym.Which, fk)
-				}
+			if sym.Kind != pstring.SymCall {
+				continue
 			}
-			q = pstring.Pop(q)
+			cl.addFootprint(lang.NodeID(sym.Site), fk)
+			cl.fnSeen[sym.Which] = true
+			local := ev.Loc.Space == sem.SpaceHeap && ev.Birth != nil && pstring.IsPrefix(q, ev.Birth)
+			if !local {
+				cl.addEffect(sym.Which, fk)
+			}
 		}
 
 		// Lifetimes (§5.3).

@@ -160,14 +160,24 @@ type depTask[P, T any] struct {
 // its merger works alone, and a run that ends before its workers arrive
 // returns without waiting for them.
 type DepRounds[P, T any] struct {
-	pool  *Pool
-	hooks DepHooks
+	pool   *Pool
+	hooks  DepHooks
+	window int
 }
 
 // NewDepRounds returns a dependency-driven executor over the pool (nil
 // for inline serial execution) with the given hooks.
 func NewDepRounds[P, T any](pool *Pool, hooks DepHooks) *DepRounds[P, T] {
 	return &DepRounds[P, T]{pool: pool, hooks: hooks}
+}
+
+// Window bounds how far workers run ahead of the merge: a worker claims
+// task i only once every task before i-n is merged. n <= 0 (the
+// default) leaves run-ahead unbounded. The window changes when tasks are
+// expanded, never what the merge sees. It returns d.
+func (d *DepRounds[P, T]) Window(n int) *DepRounds[P, T] {
+	d.window = n
+	return d
 }
 
 // Pool returns the pool the executor schedules on (nil when inline).
@@ -200,6 +210,8 @@ type depRun[P, T any] struct {
 	finished bool         // run over: merger done, or a worker panicked
 	panicked *WorkerPanic // the first worker panic, if any
 	waitFor  int          // index the merger is blocked on; -1 when it is not
+	head     int          // tasks merged, as of the merger's last check
+	window   int          // see DepRounds.Window; 0: unbounded
 	nw       int
 	hooks    DepHooks
 	// inside counts the worker loops that entered the run; RunContext
@@ -253,7 +265,7 @@ func (r *depRun[P, T]) workerLoop(expand func(i int, p *P, slot *T)) {
 	var buf [MaxGrain]*depTask[P, T]
 	for {
 		r.mu.Lock()
-		for r.next >= r.total && !r.finished {
+		for !r.claimableLocked() && !r.finished {
 			r.moreWork.Wait()
 		}
 		if r.finished {
@@ -262,6 +274,9 @@ func (r *depRun[P, T]) workerLoop(expand func(i int, p *P, slot *T)) {
 		}
 		backlog := r.total - r.next
 		g := DepGrainSize(backlog, r.nw)
+		if r.window > 0 {
+			g = min(g, r.head+r.window-r.next)
+		}
 		lo := r.next
 		r.next += g
 		batch := buf[:g]
@@ -290,6 +305,12 @@ func (r *depRun[P, T]) workerLoop(expand func(i int, p *P, slot *T)) {
 			}
 		}
 	}
+}
+
+// claimableLocked reports whether a published task may be claimed now:
+// one exists, and it lies within the window.
+func (r *depRun[P, T]) claimableLocked() bool {
+	return r.next < r.total && (r.window <= 0 || r.next < r.head+r.window)
 }
 
 // Run executes the task graph seeded with the given payloads. expand
@@ -327,7 +348,7 @@ func (d *DepRounds[P, T]) RunContext(
 	expand func(i int, p *P, slot *T),
 	merge func(i int, p *P, slot *T, emit func(P)) bool,
 ) bool {
-	r := &depRun[P, T]{nw: d.pool.Workers(), waitFor: -1, hooks: d.hooks}
+	r := &depRun[P, T]{nw: d.pool.Workers(), waitFor: -1, hooks: d.hooks, window: d.window}
 	r.moreWork.L = &r.mu
 	r.headRdy.L = &r.mu
 	r.mu.Lock()
@@ -413,6 +434,14 @@ func (r *depRun[P, T]) mergeLoop(
 			return false
 		}
 		r.mu.Lock()
+		if r.window > 0 && head != r.head {
+			// The window slid: wake the workers it held back.
+			held := r.next >= r.head+r.window
+			r.head = head
+			if held && r.claimableLocked() {
+				r.moreWork.Broadcast()
+			}
+		}
 		if head >= r.total {
 			// total grows only through emit (this goroutine), so an empty
 			// remainder here is final.

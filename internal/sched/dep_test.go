@@ -81,6 +81,53 @@ func TestDepRoundsMatchesSequentialReplay(t *testing.T) {
 	}
 }
 
+// TestDepRoundsWindowBoundsRunAhead pins Window: no task is expanded
+// before every task more than the window behind it is merged, and the
+// merged stream is still the sequential one (the window only delays
+// expansions). Window 1 leaves the workers only the head, which the
+// merger may take first, so the run must still finish.
+func TestDepRoundsWindowBoundsRunAhead(t *testing.T) {
+	seeds := []uint64{3, 10, 40}
+	const budget = 2000
+	wantP, _ := depSimSequential(seeds, budget)
+	for _, window := range []int{1, 8, 64} {
+		pool := NewPool(4)
+		var merged atomic.Int64
+		var ahead atomic.Int64 // the farthest an expansion ran past the merge
+		var gotP []uint64
+		NewDepRounds[uint64, uint64](pool, DepHooks{}).Window(window).Run(seeds,
+			func(i int, p *uint64, slot *uint64) {
+				d := int64(i) - merged.Load()
+				for cur := ahead.Load(); d > cur && !ahead.CompareAndSwap(cur, d); cur = ahead.Load() {
+				}
+				*slot = depSimExpand(*p)
+			},
+			func(i int, p *uint64, slot *uint64, emit func(uint64)) bool {
+				gotP = append(gotP, *p)
+				merged.Add(1)
+				if len(gotP) >= budget {
+					return false
+				}
+				for _, c := range depSimChildren(*p) {
+					emit(c)
+				}
+				return true
+			})
+		pool.Close()
+		if got := ahead.Load(); got >= int64(window) {
+			t.Errorf("window %d: a task was expanded %d tasks past the merge", window, got)
+		}
+		if len(gotP) != budget {
+			t.Fatalf("window %d: merged %d tasks, want %d", window, len(gotP), budget)
+		}
+		for i := range wantP {
+			if gotP[i] != wantP[i] {
+				t.Fatalf("window %d: task %d = %d, want %d", window, i, gotP[i], wantP[i])
+			}
+		}
+	}
+}
+
 // Early stop mid-chain: in-flight expansions must drain before Run
 // returns (no callback may touch engine state afterwards) and no pool
 // goroutine may leak after Close.

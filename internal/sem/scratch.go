@@ -1,5 +1,7 @@
 package sem
 
+import "psa/internal/arena"
+
 // Scratch is reusable storage for stepping successors that are likely to
 // be thrown away. An explorer steps a configuration into a Scratch,
 // fingerprints the result there, and copies it out with Commit only when
@@ -25,13 +27,13 @@ type Scratch struct {
 	procs []*Process       // backing array of cfg.Procs, reused
 	heap  map[int]*HeapObj // the heap map a step takes ownership of
 
-	procBuf  arena[Process]
-	frameBuf arena[Frame]
-	framePtr arena[*Frame]
-	vals     arena[Value]
-	blocks   arena[blockPos]
-	objs     arena[HeapObj]
-	pend     arena[pendingOp]
+	procBuf  arena.Arena[Process]
+	frameBuf arena.Arena[Frame]
+	framePtr arena.Arena[*Frame]
+	vals     arena.Arena[Value]
+	blocks   arena.Arena[blockPos]
+	objs     arena.Arena[HeapObj]
+	pend     arena.Arena[pendingOp]
 }
 
 // Step executes one transition of the process at procIdx of c into the
@@ -107,38 +109,14 @@ func (s *Scratch) Reset() {
 	}
 	s.cfg, s.res = Config{}, StepResult{}
 	s.st.reset()
-	s.procBuf.reset()
-	s.frameBuf.reset()
-	s.framePtr.reset()
-	s.vals.reset()
-	s.blocks.reset()
-	s.objs.reset()
-	s.pend.reset()
+	s.procBuf.Reset()
+	s.frameBuf.Reset()
+	s.framePtr.Reset()
+	s.vals.Reset()
+	s.blocks.Reset()
+	s.objs.Reset()
+	s.pend.Reset()
 }
-
-// arena hands out zeroed slices carved from one growing buffer. A reset
-// makes the whole buffer available again; growing never moves memory
-// already handed out, so slices from before a growth stay valid until
-// the next reset.
-type arena[T any] struct {
-	buf []T
-	n   int
-}
-
-// take returns a zeroed slice of length n and capacity c (c >= n): room
-// to append up to c elements without leaving the arena.
-func (a *arena[T]) take(n, c int) []T {
-	if a.n+c > len(a.buf) {
-		a.buf = make([]T, max(2*len(a.buf), c, 32))
-		a.n = 0
-	}
-	s := a.buf[a.n : a.n+n : a.n+c]
-	a.n += c
-	clear(s)
-	return s
-}
-
-func (a *arena[T]) reset() { a.n = 0 }
 
 // The allocators below are the copy-on-write points' only source of
 // memory: a nil *Scratch allocates fresh heap memory with exactly the
@@ -154,35 +132,35 @@ func (s *Scratch) values(n int) []Value {
 	if s == nil {
 		return make([]Value, n)
 	}
-	return s.vals.take(n, n)
+	return s.vals.Take(n, n)
 }
 
 func (s *Scratch) blockStack(n int) []blockPos {
 	if s == nil {
 		return make([]blockPos, n)
 	}
-	return s.blocks.take(n, n+stackSlack)
+	return s.blocks.Take(n, n+stackSlack)
 }
 
 func (s *Scratch) frameStack(n int) []*Frame {
 	if s == nil {
 		return make([]*Frame, n)
 	}
-	return s.framePtr.take(n, n+stackSlack)
+	return s.framePtr.Take(n, n+stackSlack)
 }
 
 func (s *Scratch) frame() *Frame {
 	if s == nil {
 		return new(Frame)
 	}
-	return &s.frameBuf.take(1, 1)[0]
+	return s.frameBuf.One()
 }
 
 func (s *Scratch) process() *Process {
 	if s == nil {
 		return new(Process)
 	}
-	return &s.procBuf.take(1, 1)[0]
+	return s.procBuf.One()
 }
 
 func (s *Scratch) heapObj(cells int) *HeapObj {
@@ -190,7 +168,7 @@ func (s *Scratch) heapObj(cells int) *HeapObj {
 	if s == nil {
 		obj = new(HeapObj)
 	} else {
-		obj = &s.objs.take(1, 1)[0]
+		obj = s.objs.One()
 	}
 	obj.Cells = s.values(cells)
 	return obj
@@ -201,7 +179,7 @@ func (s *Scratch) pending(op pendingOp) *pendingOp {
 	if s == nil {
 		p = new(pendingOp) // not &op: that would move op to the heap on every call
 	} else {
-		p = &s.pend.take(1, 1)[0]
+		p = s.pend.One()
 	}
 	*p = op
 	return p
